@@ -46,27 +46,38 @@ MorResult reduce_associated(const volterra::AssociatedTransform& at, const AtMor
     // an O(n^3) factorisation here, so it defers to the solver backend's
     // singularity detection at (sigma0 I - G1) factor time.
     bool needs_kron_solvers = false;
+    bool needs_triple_sums = false;
     for (std::size_t p = 0; p < opt.expansion_points.size(); ++p) {
         const rom::PointOrder po = order_for(opt, p);
         needs_kron_solvers = needs_kron_solvers || po.k2 > 0 || po.k3 > 0;
+        needs_triple_sums = needs_triple_sums || po.k3 > 0;
     }
     if (needs_kron_solvers || sys.order() <= kEigenGuardMaxOrder) {
         const la::ZVec eigs = at.schur_g1()->eigenvalues();
         double scale = 1.0;
         for (const auto& ev : eigs) scale = std::max(scale, std::abs(ev));
+        const double tol2 = 1e-12 * scale * 1e-12 * scale;
         for (const la::Complex s0 : opt.expansion_points) {
-            for (const auto& ev : eigs) {
+            for (std::size_t i = 0; i < eigs.size(); ++i) {
+                const la::Complex ev = eigs[i];
                 ATMOR_REQUIRE(std::abs(s0 - ev) > 1e-10 * scale,
                               "reduce_associated: expansion point "
                                   << s0 << " coincides with an eigenvalue of G1 (" << ev
                                   << "); pick a shifted expansion point");
-                // Kronecker-sum resolvents are singular at eigenvalue pair sums.
-                if (needs_kron_solvers) {
-                    for (const auto& ev2 : eigs) {
-                        ATMOR_REQUIRE(std::abs(s0 - ev - ev2) > 1e-12 * scale,
-                                      "reduce_associated: expansion point hits an eigenvalue "
-                                      "pair sum of G1 (+) G1");
-                    }
+                // Kronecker-sum resolvents are singular at eigenvalue pair
+                // sums, and the A3 resolvent G1 (+) Gt2 also at triple sums.
+                if (!needs_kron_solvers) continue;
+                for (std::size_t j = i; j < eigs.size(); ++j) {
+                    const la::Complex rest = s0 - ev - eigs[j];
+                    ATMOR_REQUIRE(std::norm(rest) > tol2,
+                                  "reduce_associated: expansion point hits an eigenvalue "
+                                  "pair sum of G1 (+) G1");
+                    if (!needs_triple_sums) continue;
+                    for (std::size_t k = j; k < eigs.size(); ++k)
+                        ATMOR_REQUIRE(std::norm(rest - eigs[k]) > tol2,
+                                      "reduce_associated: expansion point "
+                                          << s0 << " hits an eigenvalue triple sum of "
+                                             "G1 (+) G1 (+) G1; pick a shifted expansion point");
                 }
             }
         }

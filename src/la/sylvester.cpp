@@ -2,36 +2,60 @@
 
 #include <cmath>
 
+#include "la/vector_ops.hpp"
 #include "util/check.hpp"
 
 namespace atmor::la {
 
-ZMatrix tri_sylvester_shifted(const ZMatrix& t1, const ZMatrix& t2, Complex sigma, ZMatrix c) {
-    const int m = t1.rows(), p = t2.rows();
-    ATMOR_REQUIRE(t1.square() && t2.square(), "tri_sylvester_shifted: factors must be square");
-    ATMOR_REQUIRE(c.rows() == m && c.cols() == p, "tri_sylvester_shifted: C shape mismatch");
-
+void tri_sylvester_sweep(const ZMatrix& t1t, const ZMatrix& t2, Complex sigma, Complex* y,
+                         bool symmetric) {
+    const int m = t1t.rows(), p = t2.rows();
+    ATMOR_REQUIRE(t1t.square() && t2.square(), "tri_sylvester_sweep: factors must be square");
+    ATMOR_REQUIRE(!symmetric || m == p, "tri_sylvester_sweep: symmetric needs T1 = T2");
+    const auto len = [](int k) { return static_cast<std::size_t>(k); };
     // Column j couples only to columns k > j through (Y T2^T)_{:,j} =
-    // sum_k y_k T2(j,k); solve descending.
+    // sum_k y_k T2(j,k); solve descending. A symmetric solve keeps rows
+    // i >= j of column j: Y(i,k) for k <= i sits in column k, and for k > i
+    // it is Y(k,i), row k of the already solved column i.
     for (int j = p - 1; j >= 0; --j) {
-        // rhs_j = C_j + sum_{k > j} T2(j,k) y_k  (already stored in c cols k).
+        const int lo = symmetric ? j : 0;
+        Complex* yj = y + len(j) * len(m);
+        const Complex* t2j = t2.row_ptr(j);
         for (int k = j + 1; k < p; ++k) {
-            const Complex w = t2(j, k);
-            if (w == Complex(0)) continue;
-            for (int i = 0; i < m; ++i) c(i, j) += w * c(i, k);
+            const int r0 = symmetric ? k : 0;  // rows r0.. of column k
+            if (t2j[k] != Complex(0))
+                simd::zaxpy(t2j[k], y + len(k) * len(m) + len(r0), yj + r0, len(m - r0));
         }
-        // ((sigma - T2(j,j)) I - T1) y_j = rhs_j : shifted triangular backsolve.
-        const Complex shift = sigma - t2(j, j);
-        for (int i = m - 1; i >= 0; --i) {
-            Complex acc = c(i, j);
-            for (int k = i + 1; k < m; ++k) acc += t1(i, k) * c(k, j);
-            const Complex d = shift - t1(i, i);
-            ATMOR_CHECK(std::abs(d) > 0.0,
-                        "tri_sylvester_shifted: singular pencil (sigma hits eigenvalue sum)");
-            c(i, j) = acc / d;
+        if (symmetric)
+            for (int i = j + 1; i + 1 < m; ++i)
+                yj[i] += dotu(t2j + i + 1, y + len(i) * len(m) + len(i) + 1, len(m - i - 1));
+        // ((sigma - T2(j,j)) I - T1) y_j = rhs_j, column-oriented: once y_i is
+        // known, T1(lo..i, i) y_i (row i of T1^T) feeds the rows above it.
+        const Complex shift = sigma - t2j[j];
+        for (int i = m - 1; i >= lo; --i) {
+            // The diagonal's own coupling Y(j,k) = Y(k,j), k > j, is final now.
+            if (symmetric && i == j) yj[j] += dotu(t2j + j + 1, yj + j + 1, len(m - j - 1));
+            const Complex d = shift - t1t(i, i);
+            ATMOR_CHECK(std::norm(d) > 0.0,
+                        "tri_sylvester_sweep: singular pencil (sigma hits eigenvalue sum)");
+            yj[i] /= d;
+            simd::zaxpy(yj[i], t1t.row_ptr(i) + lo, yj + lo, len(i - lo));
         }
     }
-    return c;
+    if (symmetric)
+        for (int j = 0; j < m; ++j)
+            for (int i = j + 1; i < m; ++i)
+                y[len(i) * len(m) + len(j)] = y[len(j) * len(m) + len(i)];
+}
+
+ZMatrix tri_sylvester_shifted(const ZMatrix& t1, const ZMatrix& t2, Complex sigma, ZMatrix c) {
+    ATMOR_REQUIRE(t1.square() && t2.square(), "tri_sylvester_shifted: factors must be square");
+    ATMOR_REQUIRE(c.rows() == t1.rows() && c.cols() == t2.rows(),
+                  "tri_sylvester_shifted: C shape mismatch");
+    // A row-major Y^T is the column-major Y the sweep works on.
+    ZMatrix yt = transpose(c);
+    tri_sylvester_sweep(transpose(t1), t2, sigma, yt.data());
+    return transpose(yt);
 }
 
 ZMatrix tri_sylvester_sum(const ZMatrix& t1, const ZMatrix& t2, ZMatrix c) {

@@ -14,9 +14,21 @@
 
 namespace atmor::la {
 
+/// The one triangular Sylvester kernel: solve sigma*Y - T1 Y - Y T2^T = C
+/// in place for upper-triangular T1 (m x m) and T2 (p x p), with C/Y held
+/// COLUMN-major at y (column j contiguous at y + j*m). Takes t1t = T1^T so
+/// the backsolve runs column-oriented (contiguous rows of T1^T): columns
+/// descend, each couples to the solved ones through simd::zaxpy and is then
+/// a shifted triangular backsolve. With `symmetric` (T1 = T2 and C = C^T,
+/// hence Y = Y^T) only the lower triangle of each column is read and solved
+/// -- half the work -- and the upper triangle is mirrored from it. Throws
+/// util::InternalError on a zero pivot (sigma equal to an eigenvalue sum).
+void tri_sylvester_sweep(const ZMatrix& t1t, const ZMatrix& t2, Complex sigma, Complex* y,
+                         bool symmetric = false);
+
 /// Solve sigma*Y - T1 Y - Y T2^T = C where T1 (m x m) and T2 (p x p) are
-/// upper triangular; Y and C are m x p. Columns are solved in descending
-/// order; each column is a shifted triangular solve with T1.
+/// upper triangular; Y and C are m x p (row-major ZMatrix, repacked for
+/// tri_sylvester_sweep).
 ZMatrix tri_sylvester_shifted(const ZMatrix& t1, const ZMatrix& t2, Complex sigma, ZMatrix c);
 
 /// Solve T1 Y + Y T2 = C with both T1 (m x m) and T2 (p x p) upper

@@ -61,6 +61,21 @@ inline std::complex<double> dot(const std::vector<std::complex<double>>& a,
     return s;
 }
 
+/// Bilinear (unconjugated) sum x[i] y[i] over raw complex storage; the fold
+/// is reassociated for vectorisation, so it is pinned only by tolerance.
+inline std::complex<double> dotu(const std::complex<double>* x, const std::complex<double>* y,
+                                 std::size_t n) {
+    const double* xd = reinterpret_cast<const double*>(x);
+    const double* yd = reinterpret_cast<const double*>(y);
+    double re = 0.0, im = 0.0;
+#pragma omp simd reduction(+ : re, im)
+    for (std::size_t i = 0; i < n; ++i) {
+        re += xd[2 * i] * yd[2 * i] - xd[2 * i + 1] * yd[2 * i + 1];
+        im += xd[2 * i] * yd[2 * i + 1] + xd[2 * i + 1] * yd[2 * i];
+    }
+    return {re, im};
+}
+
 inline double norm2(const std::vector<double>& a) {
     return std::sqrt(simd::nrm2sq(a.data(), a.size()));
 }

@@ -78,28 +78,4 @@ la::ZMatrix unvec(const la::ZVec& w, int rows, int cols) {
     return m;
 }
 
-la::ZVec commute(const la::ZVec& w, int m, int p) {
-    ATMOR_REQUIRE(static_cast<int>(w.size()) == m * p, "commute: size mismatch");
-    la::ZVec out(w.size());
-    for (int i = 0; i < m; ++i)
-        for (int j = 0; j < p; ++j)
-            out[static_cast<std::size_t>(j) * static_cast<std::size_t>(m) +
-                static_cast<std::size_t>(i)] =
-                w[static_cast<std::size_t>(i) * static_cast<std::size_t>(p) +
-                  static_cast<std::size_t>(j)];
-    return out;
-}
-
-la::Vec commute(const la::Vec& w, int m, int p) {
-    ATMOR_REQUIRE(static_cast<int>(w.size()) == m * p, "commute: size mismatch");
-    la::Vec out(w.size());
-    for (int i = 0; i < m; ++i)
-        for (int j = 0; j < p; ++j)
-            out[static_cast<std::size_t>(j) * static_cast<std::size_t>(m) +
-                static_cast<std::size_t>(i)] =
-                w[static_cast<std::size_t>(i) * static_cast<std::size_t>(p) +
-                  static_cast<std::size_t>(j)];
-    return out;
-}
-
 }  // namespace atmor::tensor

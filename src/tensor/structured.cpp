@@ -11,18 +11,6 @@ using la::ZMatrix;
 using la::ZVec;
 
 // ---------------------------------------------------------------------------
-// DenseSchurSolver
-// ---------------------------------------------------------------------------
-
-DenseSchurSolver::DenseSchurSolver(const la::Matrix& a)
-    : schur_(std::make_shared<const la::ComplexSchur>(a)) {}
-
-DenseSchurSolver::DenseSchurSolver(std::shared_ptr<const la::ComplexSchur> schur)
-    : schur_(std::move(schur)) {
-    ATMOR_REQUIRE(schur_ != nullptr, "DenseSchurSolver: null Schur factor");
-}
-
-// ---------------------------------------------------------------------------
 // KronSum2Solver
 // ---------------------------------------------------------------------------
 
@@ -56,136 +44,26 @@ ZVec KronSum2Solver::solve(Complex sigma, const ZVec& rhs) const {
 }
 
 // ---------------------------------------------------------------------------
-// KronSumLeftSolver
+// (+)^3 sweep
 // ---------------------------------------------------------------------------
 
-KronSumLeftSolver::KronSumLeftSolver(std::shared_ptr<const la::ComplexSchur> outer_a,
-                                     std::shared_ptr<const ShiftedSolver> inner_b)
-    : outer_(std::move(outer_a)), inner_(std::move(inner_b)) {
-    ATMOR_REQUIRE(outer_ != nullptr && inner_ != nullptr, "KronSumLeftSolver: null factor");
-    m_ = outer_->dim();
-    p_ = inner_->dim();
-}
-
-ZVec KronSumLeftSolver::apply(const ZVec& x) const {
-    ATMOR_REQUIRE(static_cast<int>(x.size()) == dim(), "KronSumLeftSolver::apply: size mismatch");
-    const ZMatrix xm = unvec(x, p_, m_);
-    ZMatrix out(p_, m_);
-    // B X per column.
-    for (int c = 0; c < m_; ++c) out.set_col(c, inner_->apply(xm.col(c)));
-    // + X A^T: row r of X (length m) through A, scattered back to row r.
-    for (int r = 0; r < p_; ++r) {
-        const ZVec arow = outer_->apply(xm.row(r));
-        for (int c = 0; c < m_; ++c) out(r, c) += arow[static_cast<std::size_t>(c)];
-    }
-    return vec_of(out);
-}
-
-ZVec KronSumLeftSolver::solve(Complex sigma, const ZVec& rhs) const {
-    ATMOR_REQUIRE(static_cast<int>(rhs.size()) == dim(), "KronSumLeftSolver::solve: size mismatch");
-    const ZMatrix& t = outer_->t();
-    const ZMatrix& z = outer_->z();
-
-    // sigma X - B X - X A^T = C  with  A = Z T Z^H. Setting Y = X conj(Z):
-    //   sigma Y - B Y - Y T^T = C conj(Z),
-    // solved by a descending column recurrence: column j couples to k > j via
-    // T(j, k), and each column is an inner solve at shift sigma - T(j, j).
-    const ZMatrix zbar = la::conjugate(z);
-    ZMatrix ctil = la::matmul(unvec(rhs, p_, m_), zbar);
-
-    ZMatrix y(p_, m_);
-    ZVec col(static_cast<std::size_t>(p_));
-    for (int j = m_ - 1; j >= 0; --j) {
-        for (int i = 0; i < p_; ++i) col[static_cast<std::size_t>(i)] = ctil(i, j);
-        for (int k = j + 1; k < m_; ++k) {
-            const Complex w = t(j, k);
-            if (w == Complex(0)) continue;
-            for (int i = 0; i < p_; ++i) col[static_cast<std::size_t>(i)] += w * y(i, k);
+void kron_sum3_sweep(const la::ZMatrix& t, Complex sigma, Complex* x) {
+    ATMOR_REQUIRE(t.square(), "kron_sum3_sweep: T must be square");
+    const auto n = static_cast<std::size_t>(t.rows());
+    const ZMatrix tt = la::transpose(t);
+    // (T (x) I (x) I) couples slice j to slices k > j through T(j, k), here
+    // over the lower triangles (column b, rows b..); the remaining
+    // I (x) (T (+) T) part is a 2-D Sylvester solve per slice.
+    for (std::size_t j = n; j-- > 0;) {
+        Complex* xj = x + j * n * n;
+        const Complex* tj = t.row_ptr(static_cast<int>(j));
+        for (std::size_t k = j + 1; k < n; ++k) {
+            if (tj[k] == Complex(0)) continue;
+            for (std::size_t b = 0; b < n; ++b)
+                la::simd::zaxpy(tj[k], x + k * n * n + b * n + b, xj + b * n + b, n - b);
         }
-        y.set_col(j, inner_->solve(sigma - t(j, j), col));
+        la::tri_sylvester_sweep(tt, t, sigma - tj[j], xj, true);
     }
-    // X = Y Z^T.
-    return vec_of(la::matmul(y, la::transpose(z)));
-}
-
-// ---------------------------------------------------------------------------
-// BlockTriangularSolver
-// ---------------------------------------------------------------------------
-
-BlockTriangularSolver::BlockTriangularSolver(std::shared_ptr<const la::ComplexSchur> up,
-                                             sparse::SparseTensor3 coupling,
-                                             std::shared_ptr<const ShiftedSolver> low)
-    : up_(std::move(up)), coupling_(std::move(coupling)), low_(std::move(low)) {
-    ATMOR_REQUIRE(up_ != nullptr && low_ != nullptr, "BlockTriangularSolver: null factor");
-    ATMOR_REQUIRE(coupling_.rows() == up_->dim(),
-                  "BlockTriangularSolver: coupling rows " << coupling_.rows()
-                                                          << " != up dim " << up_->dim());
-    ATMOR_REQUIRE(coupling_.n1() * coupling_.n2() == low_->dim(),
-                  "BlockTriangularSolver: coupling cols != low dim");
-}
-
-ZVec BlockTriangularSolver::apply(const ZVec& x) const {
-    ATMOR_REQUIRE(static_cast<int>(x.size()) == dim(),
-                  "BlockTriangularSolver::apply: size mismatch");
-    const int nu = up_->dim(), nl = low_->dim();
-    const ZVec x1(x.begin(), x.begin() + nu);
-    const ZVec x2(x.begin() + nu, x.end());
-    ZVec y1 = up_->apply(x1);
-    const ZVec cx2 = coupling_.apply_lifted(x2);
-    for (int i = 0; i < nu; ++i) y1[static_cast<std::size_t>(i)] += cx2[static_cast<std::size_t>(i)];
-    const ZVec y2 = low_->apply(x2);
-    ZVec out(static_cast<std::size_t>(nu + nl));
-    std::copy(y1.begin(), y1.end(), out.begin());
-    std::copy(y2.begin(), y2.end(), out.begin() + nu);
-    return out;
-}
-
-ZVec BlockTriangularSolver::solve(Complex sigma, const ZVec& rhs) const {
-    ATMOR_REQUIRE(static_cast<int>(rhs.size()) == dim(),
-                  "BlockTriangularSolver::solve: size mismatch");
-    const int nu = up_->dim(), nl = low_->dim();
-    const ZVec b1(rhs.begin(), rhs.begin() + nu);
-    const ZVec b2(rhs.begin() + nu, rhs.end());
-    // (sigma I - Alow) x2 = b2 ; (sigma I - Aup) x1 = b1 + C x2.
-    const ZVec x2 = low_->solve(sigma, b2);
-    ZVec b1c = b1;
-    const ZVec cx2 = coupling_.apply_lifted(x2);
-    for (int i = 0; i < nu; ++i) b1c[static_cast<std::size_t>(i)] += cx2[static_cast<std::size_t>(i)];
-    const ZVec x1 = up_->solve_shifted(sigma, b1c);
-    ZVec out(static_cast<std::size_t>(nu + nl));
-    std::copy(x1.begin(), x1.end(), out.begin());
-    std::copy(x2.begin(), x2.end(), out.begin() + nu);
-    return out;
-}
-
-// ---------------------------------------------------------------------------
-// CommutedSolver
-// ---------------------------------------------------------------------------
-
-CommutedSolver::CommutedSolver(std::shared_ptr<const ShiftedSolver> inner, int m, int p)
-    : inner_(std::move(inner)), m_(m), p_(p) {
-    ATMOR_REQUIRE(inner_ != nullptr, "CommutedSolver: null inner");
-    ATMOR_REQUIRE(m > 0 && p > 0 && inner_->dim() == m * p,
-                  "CommutedSolver: inner dim must equal m*p");
-}
-
-ZVec CommutedSolver::apply(const ZVec& x) const {
-    // Op = K_{m,p} Inner K_{p,m}; here x is indexed like the commuted operator
-    // (outer dimension p first).
-    return commute(inner_->apply(commute(x, p_, m_)), m_, p_);
-}
-
-ZVec CommutedSolver::solve(Complex sigma, const ZVec& rhs) const {
-    return commute(inner_->solve(sigma, commute(rhs, p_, m_)), m_, p_);
-}
-
-// ---------------------------------------------------------------------------
-// Factories
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<ShiftedSolver> make_kron_sum3(std::shared_ptr<const la::ComplexSchur> schur_a) {
-    auto inner = std::make_shared<KronSum2Solver>(schur_a);
-    return std::make_shared<KronSumLeftSolver>(std::move(schur_a), std::move(inner));
 }
 
 }  // namespace atmor::tensor

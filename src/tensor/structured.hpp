@@ -7,122 +7,54 @@
 //   A2(H2):  Gt2 = [[G1, G2], [0, G1 (+) G1]]           (dim n + n^2)
 //   A3(H3):  resolvents of G1 (+) Gt2 and Gt2 (+) G1    (dim n(n+n^2))
 //
-// These operators are never formed. Each class below answers
-//   solve(sigma, rhs) = (sigma*I - Op)^{-1} rhs
-// through the complex Schur form of G1 plus triangular Sylvester recurrences,
-// exactly the structure-exploiting strategy of the paper's Sec. 2.3.
+// None of these operators is formed. Everything runs through the complex
+// Schur form G1 = Z T Z^H (the paper's Sec. 2.3):
+//   * KronSum2Solver answers (sigma I - G1 (+) G1)^{-1} rhs for the A2 chain,
+//     O(n^3) per solve (two basis changes plus one triangular sweep).
+//   * kron_sum3_sweep is (sigma I - T (+) T (+) T)^{-1} on an n^3 tensor that
+//     is already in Schur coordinates. The A3(H3) moment chain
+//     (volterra::AssociatedTransform) keeps its n^3 block in those
+//     coordinates from start to finish. Per moment it costs ~0.75 n^4 for
+//     the sweep plus at most n^4 for the G2 coupling. The earlier nested
+//     solver went through the Schur basis and back for each of its n outer
+//     columns, about 7.5 n^4 complex multiply-adds per moment.
 #pragma once
 
 #include <memory>
 
 #include "la/matrix.hpp"
 #include "la/schur.hpp"
-#include "sparse/tensor3.hpp"
 
 namespace atmor::tensor {
 
-/// Abstract shifted-resolvent interface: x = (sigma*I - Op)^{-1} rhs and
-/// y = Op x, all in complex arithmetic (real problems pass sigma.imag()=0).
-class ShiftedSolver {
-public:
-    virtual ~ShiftedSolver() = default;
-
-    [[nodiscard]] virtual int dim() const = 0;
-    [[nodiscard]] virtual la::ZVec apply(const la::ZVec& x) const = 0;
-    [[nodiscard]] virtual la::ZVec solve(la::Complex sigma, const la::ZVec& rhs) const = 0;
-};
-
-/// Dense operator A through its complex Schur form; every shifted solve is a
-/// triangular backsolve (no per-shift refactorisation).
-class DenseSchurSolver final : public ShiftedSolver {
-public:
-    explicit DenseSchurSolver(const la::Matrix& a);
-    explicit DenseSchurSolver(std::shared_ptr<const la::ComplexSchur> schur);
-
-    [[nodiscard]] int dim() const override { return schur_->dim(); }
-    [[nodiscard]] la::ZVec apply(const la::ZVec& x) const override { return schur_->apply(x); }
-    [[nodiscard]] la::ZVec solve(la::Complex sigma, const la::ZVec& rhs) const override {
-        return schur_->solve_shifted(sigma, rhs);
-    }
-
-    [[nodiscard]] const std::shared_ptr<const la::ComplexSchur>& schur() const { return schur_; }
-
-private:
-    std::shared_ptr<const la::ComplexSchur> schur_;
-};
-
 /// Op = A (+) A on vec(X), X in C^{n x n}: (A (+) A) vec(X) = vec(A X + X A^T).
 /// Solves are O(n^3) triangular Sylvester recurrences via the Schur form of A.
-class KronSum2Solver final : public ShiftedSolver {
+class KronSum2Solver {
 public:
     explicit KronSum2Solver(std::shared_ptr<const la::ComplexSchur> schur_a);
 
-    [[nodiscard]] int dim() const override { return n_ * n_; }
-    [[nodiscard]] la::ZVec apply(const la::ZVec& x) const override;
-    [[nodiscard]] la::ZVec solve(la::Complex sigma, const la::ZVec& rhs) const override;
+    [[nodiscard]] int dim() const { return n_ * n_; }
+    [[nodiscard]] la::ZVec apply(const la::ZVec& x) const;
+    [[nodiscard]] la::ZVec solve(la::Complex sigma, const la::ZVec& rhs) const;
 
 private:
     std::shared_ptr<const la::ComplexSchur> schur_;
     int n_;
 };
 
-/// Op = A (+) B with a small "outer" A (m x m, via Schur) and an arbitrary
-/// structured "inner" B (p x p): acts on vec(X), X in C^{p x m}, as
-/// vec(B X + X A^T). Solve runs a descending column recurrence; each column
-/// is one inner solve at a shifted sigma.
-class KronSumLeftSolver final : public ShiftedSolver {
-public:
-    KronSumLeftSolver(std::shared_ptr<const la::ComplexSchur> outer_a,
-                      std::shared_ptr<const ShiftedSolver> inner_b);
-
-    [[nodiscard]] int dim() const override { return m_ * p_; }
-    [[nodiscard]] la::ZVec apply(const la::ZVec& x) const override;
-    [[nodiscard]] la::ZVec solve(la::Complex sigma, const la::ZVec& rhs) const override;
-
-private:
-    std::shared_ptr<const la::ComplexSchur> outer_;
-    std::shared_ptr<const ShiftedSolver> inner_;
-    int m_;  // outer dimension
-    int p_;  // inner dimension
-};
-
-/// Op = [[Aup, C], [0, Alow]] with C given as the matrix view of a sparse
-/// order-3 tensor (rows = dim(Aup), cols = dim(Alow)). This is exactly the
-/// paper's Gt2 of eq. (17) with Aup = G1, C = G2, Alow = G1 (+) G1.
-class BlockTriangularSolver final : public ShiftedSolver {
-public:
-    BlockTriangularSolver(std::shared_ptr<const la::ComplexSchur> up,
-                          sparse::SparseTensor3 coupling,
-                          std::shared_ptr<const ShiftedSolver> low);
-
-    [[nodiscard]] int dim() const override { return up_->dim() + low_->dim(); }
-    [[nodiscard]] la::ZVec apply(const la::ZVec& x) const override;
-    [[nodiscard]] la::ZVec solve(la::Complex sigma, const la::ZVec& rhs) const override;
-
-private:
-    std::shared_ptr<const la::ComplexSchur> up_;
-    sparse::SparseTensor3 coupling_;
-    std::shared_ptr<const ShiftedSolver> low_;
-};
-
-/// Op = K_{m,p} Inner K_{p,m}: if Inner represents A (+) B (A outer of
-/// dimension m, B inner of dimension p), this represents B (+) A.
-/// Used for the Gt2 (+) G1 resolvent of the paper's H3 realisation.
-class CommutedSolver final : public ShiftedSolver {
-public:
-    CommutedSolver(std::shared_ptr<const ShiftedSolver> inner, int m, int p);
-
-    [[nodiscard]] int dim() const override { return m_ * p_; }
-    [[nodiscard]] la::ZVec apply(const la::ZVec& x) const override;
-    [[nodiscard]] la::ZVec solve(la::Complex sigma, const la::ZVec& rhs) const override;
-
-private:
-    std::shared_ptr<const ShiftedSolver> inner_;
-    int m_;
-    int p_;
-};
-
-/// Factory: Op = A (+) A (+) A on n^3, realised as A (+) (A (+) A).
-std::shared_ptr<ShiftedSolver> make_kron_sum3(std::shared_ptr<const la::ComplexSchur> schur_a);
+/// In place x <- (sigma*I - T (+) T (+) T)^{-1} x for an upper-triangular T
+/// (n x n), on an n^3 tensor in Schur coordinates whose every slice is
+/// symmetric: x[(j*n + b)*n + a] = x[(j*n + a)*n + b]. The A3(H3) chain lives
+/// in that subspace (b (x) sym(u (x) v) and the fully symmetric cubic
+/// right-hand side), and the solution stays in it. The layout is contiguous:
+/// outer slice j, then column b, then row a, which is the kron3 index, so a
+/// Kronecker-ordered vector needs no reshuffle. Slices descend: each one
+/// takes its coupling to the solved slices k > j through simd::zaxpy and is
+/// then a symmetric n x n la::tri_sylvester_sweep at shift sigma - T(j,j).
+/// Only lower triangles are read and swept, ~0.75 n^4 complex multiply-adds,
+/// and each slice's upper triangle is mirrored on return. Throws
+/// util::InternalError on a zero pivot (sigma equal to an eigenvalue triple
+/// sum), never returns inf/NaN for one.
+void kron_sum3_sweep(const la::ZMatrix& t, la::Complex sigma, la::Complex* x);
 
 }  // namespace atmor::tensor

@@ -1,11 +1,15 @@
 #include "volterra/associated.hpp"
 
+#include <algorithm>
 #include <array>
 #include <map>
+#include <tuple>
 
+#include "la/sylvester.hpp"
 #include "la/vector_ops.hpp"
 #include "tensor/kronecker.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace atmor::volterra {
 
@@ -44,6 +48,82 @@ std::array<std::array<int, 3>, 6> permutations3(int i, int j, int k) {
     return {{{i, j, k}, {i, k, j}, {j, i, k}, {j, k, i}, {k, i, j}, {k, j, i}}};
 }
 
+/// G2's coupling of an n^3 block W held in Schur coordinates (slice c = W_c,
+/// column-major n x n), evaluated only at G2's stored entries (row, i, j):
+/// row c of the result is F(:, c), F(row, c) = sum v Z(j,:) W_c Z(i,:)^T.
+/// Per slice: one product of W_c with Z's rows at G2's distinct i, then a
+/// dot per entry -- n^3 * #distinct(i) + n^2 * nnz in all. Slices are
+/// independent, so they fan out over the pool (same answer at any width).
+ZMatrix g2_coupling(const sparse::SparseTensor3& g2, const ZMatrix& z, const ZVec& w) {
+    const int n = z.rows();
+    const auto nz = static_cast<std::size_t>(n);
+    std::vector<int> slot(nz, -1), rows_i;
+    for (const auto& e : g2.entries())
+        if (slot[static_cast<std::size_t>(e.i)] < 0) {
+            slot[static_cast<std::size_t>(e.i)] = static_cast<int>(rows_i.size());
+            rows_i.push_back(e.i);
+        }
+    ZMatrix ft(n, n);
+    util::ThreadPool::global().parallel_for(0, n, [&](long c) {
+        const Complex* wc = w.data() + static_cast<std::size_t>(c) * nz * nz;
+        ZVec q(rows_i.size() * nz);  // column s: W_c Z(rows_i[s], :)^T
+        for (std::size_t s = 0; s < rows_i.size(); ++s) {
+            const Complex* zi = z.row_ptr(rows_i[s]);
+            for (std::size_t b = 0; b < nz; ++b)
+                la::simd::zaxpy(zi[b], wc + b * nz, q.data() + s * nz, nz);
+        }
+        Complex* f = ft.row_ptr(static_cast<int>(c));
+        for (const auto& e : g2.entries()) {
+            const auto s = static_cast<std::size_t>(slot[static_cast<std::size_t>(e.i)]);
+            f[e.row] += e.value * la::dotu(z.row_ptr(e.j), q.data() + s * nz, nz);
+        }
+    });
+    return ft;
+}
+
+/// G3 (Z (x) Z (x) Z) w for an n^3 block w in Schur coordinates, evaluated
+/// only at G3's stored entries (row, i, j, k): per distinct i one slice
+/// contraction with Z(i,:), per distinct (i, j) one column contraction with
+/// Z(j,:), then a dot with Z(k,:) per entry. The i-groups fan out over the
+/// pool; their partial sums are added in group order.
+ZVec g3_at_entries(const sparse::SparseTensor4& g3, const ZMatrix& z, const ZVec& w) {
+    const auto nz = static_cast<std::size_t>(z.rows());
+    const auto& es = g3.entries();
+    std::vector<std::size_t> order(es.size());
+    for (std::size_t e = 0; e < es.size(); ++e) order[e] = e;
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+        return std::tie(es[x].i, es[x].j) < std::tie(es[y].i, es[y].j);
+    });
+    std::vector<std::size_t> starts;
+    for (std::size_t p = 0; p < order.size(); ++p)
+        if (p == 0 || es[order[p]].i != es[order[p - 1]].i) starts.push_back(p);
+    starts.push_back(order.size());
+
+    std::vector<ZVec> part(starts.size() - 1, ZVec(nz));
+    util::ThreadPool::global().parallel_for(0, static_cast<long>(part.size()), [&](long g) {
+        const auto lo = starts[static_cast<std::size_t>(g)];
+        const auto hi = starts[static_cast<std::size_t>(g) + 1];
+        const Complex* zi = z.row_ptr(es[order[lo]].i);
+        ZVec slab(nz * nz), q(nz);
+        for (std::size_t c = 0; c < nz; ++c)
+            la::simd::zaxpy(zi[c], w.data() + c * nz * nz, slab.data(), nz * nz);
+        for (std::size_t p = lo; p < hi; ++p) {
+            const auto& e = es[order[p]];
+            if (p == lo || e.j != es[order[p - 1]].j) {
+                std::fill(q.begin(), q.end(), Complex(0));
+                const Complex* zj = z.row_ptr(e.j);
+                for (std::size_t b = 0; b < nz; ++b)
+                    la::simd::zaxpy(zj[b], slab.data() + b * nz, q.data(), nz);
+            }
+            part[static_cast<std::size_t>(g)][static_cast<std::size_t>(e.row)] +=
+                e.value * la::dotu(z.row_ptr(e.k), q.data(), nz);
+        }
+    });
+    ZVec out(nz);
+    for (const ZVec& pg : part) la::axpy(Complex(1), pg, out);
+    return out;
+}
+
 }  // namespace
 
 AssociatedTransform::AssociatedTransform(Qldae sys, std::shared_ptr<la::SolverBackend> backend)
@@ -61,13 +141,6 @@ void AssociatedTransform::ensure_schur() const {
     else
         schur_ = std::make_shared<const la::ComplexSchur>(sys_.g1());
     ks2_ = std::make_shared<tensor::KronSum2Solver>(schur_);
-    // Gt2 = [[G1, G2], [0, G1 (+) G1]] (eq. 17); the coupling block is G2's
-    // matrix view. A quadratic-free system still gets a valid (zero) coupling.
-    sparse::SparseTensor3 coupling = sys_.has_quadratic()
-                                         ? sys_.g2()
-                                         : sparse::SparseTensor3(sys_.order(), sys_.order(),
-                                                                 sys_.order());
-    gt2_ = std::make_shared<tensor::BlockTriangularSolver>(schur_, std::move(coupling), ks2_);
 }
 
 const std::shared_ptr<const la::ComplexSchur>& AssociatedTransform::schur_g1() const {
@@ -80,27 +153,8 @@ const std::shared_ptr<tensor::KronSum2Solver>& AssociatedTransform::kron_sum2() 
     return ks2_;
 }
 
-const std::shared_ptr<tensor::BlockTriangularSolver>& AssociatedTransform::gtilde2() const {
-    ensure_schur();
-    return gt2_;
-}
-
 la::ZVec AssociatedTransform::resolvent(Complex s, const ZVec& rhs) const {
     return backend_->solve_shifted(sys_.g1_op(), s, rhs);
-}
-
-const std::shared_ptr<tensor::ShiftedSolver>& AssociatedTransform::m1_solver() const {
-    ensure_schur();
-    std::lock_guard<std::mutex> lock(lazy_mutex_);
-    if (!m1_) m1_ = std::make_shared<tensor::KronSumLeftSolver>(schur_, gt2_);
-    return m1_;
-}
-
-const std::shared_ptr<tensor::ShiftedSolver>& AssociatedTransform::ks3_solver() const {
-    ensure_schur();
-    std::lock_guard<std::mutex> lock(lazy_mutex_);
-    if (!ks3_) ks3_ = tensor::make_kron_sum3(schur_);
-    return ks3_;
 }
 
 ZVec AssociatedTransform::sym_lift(int i, int j) const {
@@ -128,31 +182,6 @@ ZVec AssociatedTransform::btilde2(int i, int j) const {
     out.reserve(head.size() + tail.size());
     out.insert(out.end(), head.begin(), head.end());
     out.insert(out.end(), tail.begin(), tail.end());
-    return out;
-}
-
-ZVec AssociatedTransform::slice_m1(const ZVec& u) const {
-    // (I_n (x) c~2) vec(X), X in C^{p x n}: keep the first n rows of X.
-    const int n = sys_.order();
-    const int p = n + n * n;
-    ZVec out(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j)
-            out[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] =
-                u[static_cast<std::size_t>(i) * p + static_cast<std::size_t>(j)];
-    return out;
-}
-
-ZVec AssociatedTransform::slice_m2(const ZVec& u) const {
-    // (c~2 (x) I_n) applied to the commuted vector: entry [alpha*n + i] of the
-    // commuted layout equals u[i*p + alpha], alpha < n.
-    const int n = sys_.order();
-    const int p = n + n * n;
-    ZVec out(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    for (int alpha = 0; alpha < n; ++alpha)
-        for (int i = 0; i < n; ++i)
-            out[static_cast<std::size_t>(alpha) * n + static_cast<std::size_t>(i)] =
-                u[static_cast<std::size_t>(i) * p + static_cast<std::size_t>(alpha)];
     return out;
 }
 
@@ -188,51 +217,8 @@ ZMatrix AssociatedTransform::a2h2(Complex s) const {
 }
 
 ZMatrix AssociatedTransform::a3h3(Complex s) const {
-    const int n = sys_.order(), m = sys_.inputs();
-    ZMatrix out(n, m * m * m);
-    const bool h2_alive = sys_.has_quadratic() || sys_.has_bilinear();
-    const bool g2_part = sys_.has_quadratic() && h2_alive;
-    const bool d1_part = sys_.has_bilinear();
-    if (!g2_part && !d1_part && !sys_.has_cubic()) return out;
-
-    for (int i = 0; i < m; ++i) {
-        for (int j = i; j < m; ++j) {
-            for (int k = j; k < m; ++k) {
-                ZVec acc(static_cast<std::size_t>(n), Complex(0));
-                if (g2_part || d1_part) {
-                    for (const auto& as : dedup_assignments(i, j, k)) {
-                        const Complex w(as.weight / 3.0, 0.0);
-                        if (g2_part) {
-                            const ZVec beta =
-                                tensor::kron(la::complexify(sys_.b_col(as.a)),
-                                             btilde2(as.b, as.c));
-                            const ZVec u = m1_solver()->solve(s, beta);
-                            la::axpy(w, sys_.g2().apply_lifted(slice_m1(u)), acc);
-                            la::axpy(w, sys_.g2().apply_lifted(slice_m2(u)), acc);
-                        }
-                        if (d1_part)
-                            la::axpy(w, sys_.apply_d1(as.a, d0(as.b, as.c)), acc);
-                    }
-                }
-                if (sys_.has_cubic()) {
-                    ZVec gamma(static_cast<std::size_t>(n) * n * n, Complex(0));
-                    for (const auto& perm : permutations3(i, j, k)) {
-                        const la::Vec g = tensor::kron3(sys_.b_col(perm[0]), sys_.b_col(perm[1]),
-                                                        sys_.b_col(perm[2]));
-                        for (std::size_t idx = 0; idx < gamma.size(); ++idx)
-                            gamma[idx] += Complex(g[idx] / 6.0, 0.0);
-                    }
-                    const ZVec w3 = ks3_solver()->solve(s, gamma);
-                    la::axpy(Complex(1), sys_.g3().apply_lifted(w3), acc);
-                }
-                const ZVec col = resolvent(s, acc);
-                // Symmetric in (i, j, k): replicate over all index orderings.
-                for (const auto& perm : permutations3(i, j, k))
-                    out.set_col((perm[0] * m + perm[1]) * m + perm[2], col);
-            }
-        }
-    }
-    return out;
+    // The zeroth moment about s is the value at s.
+    return a3h3_moments(1, s)[0];
 }
 
 // ---------------------------------------------------------------------------
@@ -320,50 +306,96 @@ std::vector<ZMatrix> AssociatedTransform::a2h2_moments(int count, Complex sigma0
 std::vector<ZMatrix> AssociatedTransform::a3h3_moments(int count, Complex sigma0) const {
     ATMOR_REQUIRE(count >= 0, "a3h3_moments: negative count");
     const int n = sys_.order(), m = sys_.inputs();
+    const auto nz = static_cast<std::size_t>(n);
     std::vector<ZMatrix> inner(static_cast<std::size_t>(count), ZMatrix(n, m * m * m));
     const bool g2_part = sys_.has_quadratic();
     const bool d1_part = sys_.has_bilinear();
-    if (count == 0 || (!g2_part && !d1_part && !sys_.has_cubic()))
-        return std::vector<ZMatrix>(static_cast<std::size_t>(count), ZMatrix(n, m * m * m));
+    const bool g3_part = sys_.has_cubic();
+    if (count == 0 || (!g2_part && !d1_part && !g3_part)) return inner;
+
+    // Everything below runs in the Schur coordinates of G1 = Z T Z^H; the
+    // inputs enter them once, bhat_i = Z^H b_i.
+    const la::ComplexSchur* schur = (g2_part || g3_part) ? schur_g1().get() : nullptr;
+    std::vector<ZVec> bhat;
+    ZMatrix tt, zbar, ztr;
+    if (schur != nullptr) {
+        for (int i = 0; i < m; ++i)
+            bhat.push_back(schur->to_schur_basis(la::complexify(sys_.b_col(i))));
+        tt = la::transpose(schur->t());
+        zbar = la::conjugate(schur->z());
+        ztr = la::transpose(schur->z());
+    }
+    const auto sign = [](int c) { return (c % 2 == 1) ? Complex(-1) : Complex(1); };
+
+    // One G1 (+) Gt2 chain, u_c = (sigma0 I - G1 (+) Gt2)^{-(c+1)} (b_a (x) b~2),
+    // as X = [X1; X2] in C^{(n+n^2) x n} with vec(X) = u. Only X1 leaves
+    // Schur coordinates; the Gt2 (+) G1 term of H~3 reads it transposed, so
+    // cols[c] += w (-1)^c G2 (vec X1 + vec X1^T).
+    const auto g2_chain = [&](const Assignment& as, std::vector<ZVec>& cols) {
+        const ZVec& ba = bhat[static_cast<std::size_t>(as.a)];
+        const ZVec& bb = bhat[static_cast<std::size_t>(as.b)];
+        const ZVec& bc = bhat[static_cast<std::size_t>(as.c)];
+        // X2 = b~ b_a^T: slice s of the n^3 block is ba[s] sym(bc bb^T).
+        ZVec low(nz * nz * nz);
+        for (std::size_t s = 0; s < nz; ++s)
+            for (std::size_t b = 0; b < nz; ++b)
+                for (std::size_t a = 0; a < nz; ++a)
+                    low[(s * nz + b) * nz + a] = ba[s] * 0.5 * (bc[a] * bb[b] + bb[a] * bc[b]);
+        // X1 = d0 b_a^T, kept as Y1^T (row-major), i.e. column-major Y1.
+        const ZVec dhat = schur->to_schur_basis(d0(as.b, as.c));
+        ZMatrix y1t(n, n);
+        for (int col = 0; col < n; ++col)
+            for (int row = 0; row < n; ++row)
+                y1t(col, row) =
+                    dhat[static_cast<std::size_t>(row)] * ba[static_cast<std::size_t>(col)];
+        const Complex w(as.weight / 3.0, 0.0);
+        for (int c = 0; c < count; ++c) {
+            tensor::kron_sum3_sweep(schur->t(), sigma0, low.data());
+            // Up block right-hand side: previous Y1 plus Z^H (G2 X2 conj(Z)),
+            // added transposed as (G2 X2 conj(Z))^T conj(Z).
+            y1t += la::matmul(g2_coupling(sys_.g2(), schur->z(), low), zbar);
+            la::tri_sylvester_sweep(tt, schur->t(), sigma0, y1t.data());
+            const ZMatrix x1t = la::matmul(schur->z(), la::matmul(y1t, ztr));  // X1^T
+            ZVec vsym(nz * nz);  // vec(X1) + vec(X1^T)
+            for (int r = 0; r < n; ++r)
+                for (int q = 0; q < n; ++q)
+                    vsym[static_cast<std::size_t>(r) * nz + static_cast<std::size_t>(q)] =
+                        x1t(r, q) + x1t(q, r);
+            la::axpy(w * sign(c), sys_.g2().apply_lifted(vsym),
+                     cols[static_cast<std::size_t>(c)]);
+        }
+    };
+
+    // G3 (sigma0 I - (+)^3 G1)^{-(c+1)} sym(b_i (x) b_j (x) b_k), the same sweep.
+    const auto g3_chain = [&](int i, int j, int k, std::vector<ZVec>& cols) {
+        ZVec gamma(nz * nz * nz);
+        for (const auto& perm : permutations3(i, j, k)) {
+            const ZVec& x = bhat[static_cast<std::size_t>(perm[0])];
+            const ZVec& y = bhat[static_cast<std::size_t>(perm[1])];
+            const ZVec& z = bhat[static_cast<std::size_t>(perm[2])];
+            for (std::size_t s = 0; s < nz; ++s)
+                for (std::size_t b = 0; b < nz; ++b)
+                    for (std::size_t a = 0; a < nz; ++a)
+                        gamma[(s * nz + b) * nz + a] += x[s] * y[b] * z[a] / 6.0;
+        }
+        for (int c = 0; c < count; ++c) {
+            tensor::kron_sum3_sweep(schur->t(), sigma0, gamma.data());
+            la::axpy(sign(c), g3_at_entries(sys_.g3(), schur->z(), gamma),
+                     cols[static_cast<std::size_t>(c)]);
+        }
+    };
 
     for (int i = 0; i < m; ++i) {
         for (int j = i; j < m; ++j) {
             for (int k = j; k < m; ++k) {
-                std::vector<ZVec> cols(static_cast<std::size_t>(count),
-                                       ZVec(static_cast<std::size_t>(n), Complex(0)));
+                std::vector<ZVec> cols(static_cast<std::size_t>(count), ZVec(nz, Complex(0)));
                 for (const auto& as : dedup_assignments(i, j, k)) {
-                    const Complex w(as.weight / 3.0, 0.0);
                     if (d1_part)
-                        la::axpy(w, sys_.apply_d1(as.a, d0(as.b, as.c)), cols[0]);
-                    if (g2_part) {
-                        ZVec u = tensor::kron(la::complexify(sys_.b_col(as.a)),
-                                              btilde2(as.b, as.c));
-                        for (int c = 0; c < count; ++c) {
-                            u = m1_solver()->solve(sigma0, u);
-                            const Complex sign = (c % 2 == 1) ? Complex(-1) : Complex(1);
-                            la::axpy(w * sign, sys_.g2().apply_lifted(slice_m1(u)),
-                                     cols[static_cast<std::size_t>(c)]);
-                            la::axpy(w * sign, sys_.g2().apply_lifted(slice_m2(u)),
-                                     cols[static_cast<std::size_t>(c)]);
-                        }
-                    }
+                        la::axpy(Complex(as.weight / 3.0, 0.0),
+                                 sys_.apply_d1(as.a, d0(as.b, as.c)), cols[0]);
+                    if (g2_part) g2_chain(as, cols);
                 }
-                if (sys_.has_cubic()) {
-                    ZVec gamma(static_cast<std::size_t>(n) * n * n, Complex(0));
-                    for (const auto& perm : permutations3(i, j, k)) {
-                        const la::Vec g = tensor::kron3(sys_.b_col(perm[0]), sys_.b_col(perm[1]),
-                                                        sys_.b_col(perm[2]));
-                        for (std::size_t idx = 0; idx < gamma.size(); ++idx)
-                            gamma[idx] += Complex(g[idx] / 6.0, 0.0);
-                    }
-                    ZVec u = std::move(gamma);
-                    for (int c = 0; c < count; ++c) {
-                        u = ks3_solver()->solve(sigma0, u);
-                        const Complex sign = (c % 2 == 1) ? Complex(-1) : Complex(1);
-                        la::axpy(sign, sys_.g3().apply_lifted(u),
-                                 cols[static_cast<std::size_t>(c)]);
-                    }
-                }
+                if (g3_part) g3_chain(i, j, k, cols);
                 for (int c = 0; c < count; ++c)
                     for (const auto& perm : permutations3(i, j, k))
                         inner[static_cast<std::size_t>(c)].set_col(

@@ -12,9 +12,25 @@
 //                    + (c~2 (x) I)(sI - Gt2 (+) G1)^{-1}(b~2 (x) b),
 //
 // where Gt2 = [[G1, G2], [0, G1 (+) G1]], b~2 = [d0; b~], c~2 = [I 0] is the
-// (n + n^2)-order realisation of A2(H2). All resolvents are evaluated through
-// the structured solvers (tensor::), so nothing of size n^2 or larger is ever
-// factorised densely.
+// (n + n^2)-order realisation of A2(H2). Nothing of size n^2 or larger is
+// ever factorised densely. A2(H2) solves through tensor::KronSum2Solver. The
+// A3(H3) chain stays in the Schur coordinates of G1 = Z T Z^H from start to
+// finish:
+//   * The rank-1 right-hand side b (x) b~2 enters them through the O(n^2)
+//     products Z^H b and Z^H d0.
+//   * The n^3 block is solved by tensor::kron_sum3_sweep, and successive
+//     moments reuse it with no basis change in between. Each of its slices
+//     is symmetric (b~ is), so the sweep solves half of it.
+//   * The G2 coupling is evaluated only at G2's stored entries, fanned out
+//     over the thread pool by slice.
+//   * The n x n up block is one triangular Sylvester sweep.
+//   * Only that up block returns to original coordinates, where the
+//     Gt2 (+) G1 term is its transpose.
+//   * The cubic G3 term runs through the same sweep and the same
+//     entries-only evaluation.
+// That is ~0.75 n^4 + (at most) n^4 complex multiply-adds per moment. The
+// nested G1 (+) Gt2 solver it replaces cost ~7.5 n^4, most of it basis
+// changes.
 //
 // This class provides pointwise evaluation of the associated transfer
 // functions and their moment sequences about arbitrary complex expansion
@@ -22,6 +38,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -72,29 +89,19 @@ public:
     /// d0^{(ij)} = (D1_i b_j + D1_j b_i)/2 = h2^{(ij)}(0+, 0+) (the paper's D1 b).
     [[nodiscard]] la::ZVec d0(int i, int j) const;
 
-    /// The structured solvers (exposed for the MOR layer and diagnostics);
-    /// built lazily together with the Schur factors.
+    /// The (sigma I - G1 (+) G1)^{-1} solver of the A2(H2) chain (exposed for
+    /// the MOR layer); built lazily together with the Schur factors.
     [[nodiscard]] const std::shared_ptr<tensor::KronSum2Solver>& kron_sum2() const;
-    [[nodiscard]] const std::shared_ptr<tensor::BlockTriangularSolver>& gtilde2() const;
 
 private:
     /// sym(b_i (x) b_j) lifted vector (length n^2).
     [[nodiscard]] la::ZVec sym_lift(int i, int j) const;
-
-    /// (I (x) c~2) slice of a vec(X), X in C^{(n+n^2) x n}.
-    [[nodiscard]] la::ZVec slice_m1(const la::ZVec& u) const;
-    /// (c~2 (x) I) slice after commutation (read directly, no copy of u).
-    [[nodiscard]] la::ZVec slice_m2(const la::ZVec& u) const;
 
     /// (sI - G1)^{-1} rhs through the backend's factorization cache.
     [[nodiscard]] la::ZVec resolvent(la::Complex s, const la::ZVec& rhs) const;
 
     /// Build the Schur factors + Kronecker solvers on demand.
     void ensure_schur() const;
-
-    /// Lazily built big solvers.
-    const std::shared_ptr<tensor::ShiftedSolver>& m1_solver() const;
-    const std::shared_ptr<tensor::ShiftedSolver>& ks3_solver() const;
 
     /// Inner moment sequences g_c (n-vectors per column) of the bracketed
     /// part of A2(H2)/A3(H3), composed with the leading resolvent series.
@@ -103,16 +110,13 @@ private:
 
     Qldae sys_;
     std::shared_ptr<la::SolverBackend> backend_;
-    /// Guards the lazy construction of the Schur factors and the structured
-    /// solvers below, so moment generation can fan out across threads (the
-    /// multipoint loop in core::reduce_associated). Once built, the solvers
-    /// are immutable and solved against without locking.
+    /// Guards the lazy construction of the Schur factors and the A2 solver,
+    /// so moment generation can fan out across threads (the multipoint loop
+    /// in core::reduce_associated). Once built, both are immutable and used
+    /// without locking.
     mutable std::mutex lazy_mutex_;
     mutable std::shared_ptr<const la::ComplexSchur> schur_;
     mutable std::shared_ptr<tensor::KronSum2Solver> ks2_;
-    mutable std::shared_ptr<tensor::BlockTriangularSolver> gt2_;
-    mutable std::shared_ptr<tensor::ShiftedSolver> m1_;   // G1 (+) Gt2
-    mutable std::shared_ptr<tensor::ShiftedSolver> ks3_;  // (+)^3 G1
 };
 
 }  // namespace atmor::volterra

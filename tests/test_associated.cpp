@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
+#include "circuits/nltl.hpp"
+#include "core/atmor.hpp"
 #include "la/expm.hpp"
 #include "la/lu.hpp"
+#include "la/schur.hpp"
 #include "la/vector_ops.hpp"
 #include "tensor/kronecker.hpp"
+#include "tensor/structured.hpp"
 #include "test_qldae_helpers.hpp"
+#include "util/thread_pool.hpp"
 #include "volterra/associated.hpp"
 
 namespace atmor {
@@ -320,6 +326,209 @@ TEST(Associated, QuadraticFreeSystemHasZeroA2H2) {
     EXPECT_LT(la::max_abs(at.a2h2(Complex(0.5, 0.0))), 1e-14);
     // ... but A3H3 is alive through G3.
     EXPECT_GT(la::max_abs(at.a3h3(Complex(0.5, 0.0))), 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// The A3(H3) chain in Schur coordinates against independent oracles.
+// ---------------------------------------------------------------------------
+
+TEST(Associated, A3MomentsMatchDenseRealizationMultiInput) {
+    // D1, G3 and m = 2 inputs, k3 = 3 moments at a complex point, against
+    // the dense block realisation of h3(t,t,t) (eta block driven by the
+    // G1 (+) Gt2, Gt2 (+) G1 and (+)^3 G1 blocks), column by column.
+    util::Rng rng(2210);
+    test::QldaeOptions opt;
+    opt.n = 3;
+    opt.inputs = 2;
+    opt.bilinear = true;
+    opt.cubic = true;
+    const Qldae sys = test::random_qldae(opt, rng);
+    const AssociatedTransform at(sys);
+    const int n = 3, m = 2, p = n + n * n, na = n * p;
+    const Complex sigma0(0.3, 0.4);
+
+    const Matrix gt2 = dense_gt2(sys);
+    Matrix ctil(n, p);  // c~2 = [I 0]
+    for (int i = 0; i < n; ++i) ctil(i, i) = 1.0;
+    const Matrix g2d = sys.g2().to_dense_matrix();
+    Matrix g3d(n, n * n * n);
+    for (const auto& e : sys.g3().entries()) g3d(e.row, (e.i * n + e.j) * n + e.k) += e.value;
+    const int dim = n + 2 * na + n * n * n;
+    Matrix big(dim, dim);
+    auto put = [&](const Matrix& blk, int r0, int c0) {
+        for (int i = 0; i < blk.rows(); ++i)
+            for (int j = 0; j < blk.cols(); ++j) big(r0 + i, c0 + j) = blk(i, j);
+    };
+    put(sys.g1(), 0, 0);
+    put(la::matmul(g2d, test::dense_kron(Matrix::identity(n), ctil)), 0, n);
+    put(la::matmul(g2d, test::dense_kron(ctil, Matrix::identity(n))), 0, n + na);
+    put(g3d, 0, n + 2 * na);
+    put(test::dense_kron_sum(sys.g1(), gt2), n, n);
+    put(test::dense_kron_sum(gt2, sys.g1()), n + na, n + na);
+    put(test::dense_kron_sum(sys.g1(), test::dense_kron_sum(sys.g1(), sys.g1())), n + 2 * na,
+        n + 2 * na);
+    ZMatrix shifted = la::complexify(big);
+    shifted *= Complex(-1.0);
+    for (int i = 0; i < dim; ++i) shifted(i, i) += sigma0;
+
+    const auto moments = at.a3h3_moments(3, sigma0);
+    for (int i = 0; i < m; ++i)
+        for (int j = 0; j < m; ++j)
+            for (int k = 0; k < m; ++k) {
+                // Every input in every slot: (a | b, c) over the three
+                // positions, and all six orderings of the cubic term.
+                ZVec init(static_cast<std::size_t>(dim));
+                const int idx[3] = {i, j, k};
+                for (int a = 0; a < 3; ++a) {
+                    const int in_a = idx[a], in_b = idx[(a + 1) % 3], in_c = idx[(a + 2) % 3];
+                    const ZVec ba = la::complexify(sys.b_col(in_a));
+                    const ZVec bt2 = at.btilde2(in_b, in_c);
+                    const ZVec eta = la::matvec_rc(sys.d1(in_a), at.d0(in_b, in_c));
+                    const ZVec za = tn::kron(ba, bt2);
+                    const ZVec zb = tn::kron(bt2, ba);
+                    for (int r = 0; r < n; ++r) init[static_cast<std::size_t>(r)] += eta[r] / 3.0;
+                    for (int r = 0; r < na; ++r) {
+                        init[static_cast<std::size_t>(n + r)] += za[r] / 3.0;
+                        init[static_cast<std::size_t>(n + na + r)] += zb[r] / 3.0;
+                    }
+                }
+                const int perms[6][3] = {{i, j, k}, {i, k, j}, {j, i, k},
+                                         {j, k, i}, {k, i, j}, {k, j, i}};
+                for (const auto& pm : perms) {
+                    const la::Vec g = tn::kron3(sys.b_col(pm[0]), sys.b_col(pm[1]),
+                                                sys.b_col(pm[2]));
+                    for (std::size_t r = 0; r < g.size(); ++r)
+                        init[n + 2 * na + r] += Complex(g[r] / 6.0, 0.0);
+                }
+                ZVec cur = init;
+                for (int q = 0; q < 3; ++q) {
+                    cur = la::solve(shifted, cur);
+                    ZVec ref(cur.begin(), cur.begin() + n);
+                    if (q % 2 == 1) la::scale(Complex(-1.0), ref);
+                    const ZVec got = moments[static_cast<std::size_t>(q)].col((i * m + j) * m + k);
+                    EXPECT_LT(la::dist2(got, ref), 1e-9 * (1.0 + la::norm2(ref)))
+                        << "moment " << q << " inputs (" << i << "," << j << "," << k << ")";
+                }
+            }
+}
+
+/// The nested G1 (+) Inner solver the A3 chain ran through before it moved
+/// into Schur coordinates, kept as an independent oracle: vec(X), X in
+/// C^{p x n}, by a descending column recurrence in G1's Schur basis with one
+/// inner solve per column, every basis change done explicitly.
+ZVec nested_left_solve(const la::ComplexSchur& g1, int p,
+                       const std::function<ZVec(Complex, const ZVec&)>& inner, Complex sigma,
+                       const ZVec& rhs) {
+    const int n = g1.dim();
+    const ZMatrix ctil = la::matmul(tn::unvec(rhs, p, n), la::conjugate(g1.z()));
+    ZMatrix y(p, n);
+    for (int j = n - 1; j >= 0; --j) {
+        ZVec col = ctil.col(j);
+        for (int k = j + 1; k < n; ++k)
+            for (int i = 0; i < p; ++i) col[static_cast<std::size_t>(i)] += g1.t()(j, k) * y(i, k);
+        y.set_col(j, inner(sigma - g1.t()(j, j), col));
+    }
+    return tn::vec_of(la::matmul(y, la::transpose(g1.z())));
+}
+
+TEST(Associated, A3MomentsMatchNestedSolverOnNltl) {
+    // The paper's current-source NLTL at 25 stages (n = 50): the
+    // Schur-coordinate chain against the nested-solver chain it replaced.
+    circuits::NltlOptions copt;
+    copt.stages = 25;
+    const Qldae sys = circuits::current_source_line(copt).to_qldae();
+    ASSERT_FALSE(sys.has_cubic());
+    const AssociatedTransform at(sys);
+    const int n = sys.order(), p = n + n * n, count = 3;
+    const Complex sigma0(1.0, 0.0);
+    const la::ComplexSchur& cs = *at.schur_g1();
+    const tn::KronSum2Solver ks2(at.schur_g1());
+    const auto gt2_solve = [&](Complex s, const ZVec& r) {  // [[G1, G2], [0, G1 (+) G1]]
+        const ZVec x2 = ks2.solve(s, ZVec(r.begin() + n, r.end()));
+        ZVec b1(r.begin(), r.begin() + n);
+        la::axpy(Complex(1), sys.g2().apply_lifted(x2), b1);
+        ZVec out = cs.solve_shifted(s, b1);
+        out.insert(out.end(), x2.begin(), x2.end());
+        return out;
+    };
+
+    std::vector<ZVec> inner(count, ZVec(static_cast<std::size_t>(n)));
+    if (sys.has_bilinear()) inner[0] = la::matvec_rc(sys.d1(0), at.d0(0, 0));
+    ZVec u = tn::kron(la::complexify(sys.b_col(0)), at.btilde2(0, 0));
+    for (int c = 0; c < count; ++c) {
+        u = nested_left_solve(cs, p, gt2_solve, sigma0, u);
+        ZVec va(static_cast<std::size_t>(n * n)), vb(static_cast<std::size_t>(n * n));
+        for (int i = 0; i < n; ++i)
+            for (int j = 0; j < n; ++j) {
+                va[static_cast<std::size_t>(i * n + j)] = u[static_cast<std::size_t>(i * p + j)];
+                vb[static_cast<std::size_t>(j * n + i)] = u[static_cast<std::size_t>(i * p + j)];
+            }
+        const Complex sign = (c % 2 == 1) ? Complex(-1) : Complex(1);
+        la::axpy(sign, sys.g2().apply_lifted(va), inner[static_cast<std::size_t>(c)]);
+        la::axpy(sign, sys.g2().apply_lifted(vb), inner[static_cast<std::size_t>(c)]);
+    }
+    const auto moments = at.a3h3_moments(count, sigma0);
+    for (int q = 0; q < count; ++q) {
+        // m_q = sum_{c <= q} (-1)^{q-c} R^{q-c+1} inner_c, R = (sigma0 I - G1)^{-1}.
+        ZVec ref(static_cast<std::size_t>(n));
+        for (int c = 0; c <= q; ++c) {
+            ZVec v = inner[static_cast<std::size_t>(c)];
+            for (int r = 0; r <= q - c; ++r) v = cs.solve_shifted(sigma0, v);
+            la::axpy((q - c) % 2 == 1 ? Complex(-1) : Complex(1), v, ref);
+        }
+        const ZVec got = moments[static_cast<std::size_t>(q)].col(0);
+        EXPECT_LT(la::dist2(got, ref), 1e-10 * la::norm2(ref)) << "moment " << q;
+    }
+}
+
+TEST(Associated, A3ReductionIsThreadCountInvariant) {
+    // The G2 coupling fans out over the pool; a k3 > 0 build at one
+    // expansion point (so the fan-out is not inlined under a point loop)
+    // must give the same basis on 1 and 4 threads.
+    circuits::NltlOptions copt;
+    copt.stages = 12;
+    const Qldae sys = circuits::current_source_line(copt).to_qldae();
+    core::AtMorOptions mor;
+    mor.k1 = 4;
+    mor.k2 = 2;
+    mor.k3 = 2;
+    mor.expansion_points = {Complex(1.0, 0.0)};
+    util::ThreadPool::set_global_threads(1);
+    const core::MorResult serial = core::reduce_associated(sys, mor);
+    util::ThreadPool::set_global_threads(4);
+    const core::MorResult wide = core::reduce_associated(sys, mor);
+    util::ThreadPool::set_global_threads(util::ThreadPool::default_thread_count());
+    EXPECT_EQ(serial.provenance.basis_hash, wide.provenance.basis_hash);
+    ASSERT_EQ(serial.order, wide.order);
+}
+
+TEST(Associated, TripleEigenvalueSumIsRejected) {
+    // G1 = diag(-1, -2, -4): sigma0 = -7 is no eigenvalue and no pair sum,
+    // but the triple sum -1 - 2 - 4 where G1 (+) Gt2 is singular.
+    Matrix g1(3, 3);
+    g1(0, 0) = -1.0;
+    g1(1, 1) = -2.0;
+    g1(2, 2) = -4.0;
+    sparse::SparseTensor3 g2(3, 3, 3);
+    g2.add(0, 1, 2, 0.5);
+    g2.add(2, 0, 0, -0.3);
+    Matrix b(3, 1), c(1, 3);
+    for (int i = 0; i < 3; ++i) {
+        b(i, 0) = 1.0;
+        c(0, i) = 1.0;
+    }
+    const Qldae sys(g1, g2, b, c);
+    core::AtMorOptions mor;
+    mor.k1 = 2;
+    mor.k2 = 1;
+    mor.k3 = 1;
+    mor.expansion_points = {Complex(-7.0, 0.0)};
+    EXPECT_THROW(core::reduce_associated(sys, mor), util::PreconditionError);
+    mor.k3 = 0;  // no A3 resolvent, so the point is fine
+    EXPECT_NO_THROW(core::reduce_associated(sys, mor));
+    // Straight into the chain: the sweep's zero pivot is a typed error.
+    const AssociatedTransform at(sys);
+    EXPECT_THROW((void)at.a3h3_moments(1, Complex(-7.0, 0.0)), util::InternalError);
 }
 
 }  // namespace

@@ -145,6 +145,10 @@ TEST(ComplexSchur, ShiftedSolveMatchesLu) {
     for (int i = 0; i < n; ++i) m(i, i) += sigma;
     const ZVec x_ref = la::solve(m, b);
     EXPECT_LT(la::dist2(x, x_ref), 1e-9 * (1.0 + la::norm2(x_ref)));
+    // apply() evaluates A through the same factors: sigma x - A x = b.
+    ZVec res = cs.apply(x);
+    for (std::size_t i = 0; i < res.size(); ++i) res[i] = sigma * x[i] - res[i];
+    EXPECT_LT(la::dist2(res, b), 1e-9 * (1.0 + la::norm2(b)));
 }
 
 TEST(ComplexSchur, ShiftAtEigenvalueThrows) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "la/lu.hpp"
@@ -29,21 +31,6 @@ std::shared_ptr<const la::ComplexSchur> schur_of(const Matrix& a) {
     return std::make_shared<const la::ComplexSchur>(a);
 }
 
-TEST(DenseSchurSolver, MatchesOracle) {
-    util::Rng rng(1400);
-    const int n = 9;
-    const Matrix a = test::random_matrix(n, n, rng);
-    tn::DenseSchurSolver solver(a);
-    const Complex sigma(0.3, -0.8);
-    const ZVec b = test::random_zvector(n, rng);
-    EXPECT_LT(la::dist2(solver.solve(sigma, b), dense_shifted_solve(a, sigma, b)), 1e-9);
-    // apply: sigma*x - Op(x) must reproduce b for x = solve(sigma, b).
-    const ZVec x = solver.solve(sigma, b);
-    ZVec res = solver.apply(x);
-    for (std::size_t i = 0; i < res.size(); ++i) res[i] = sigma * x[i] - res[i];
-    EXPECT_LT(la::dist2(res, b), 1e-9);
-}
-
 TEST(KronSum2Solver, MatchesDenseOracle) {
     util::Rng rng(1401);
     const int n = 5;
@@ -68,113 +55,166 @@ TEST(KronSum2Solver, ApplyMatchesDense) {
     EXPECT_LT(la::dist2(y, y_ref), 1e-9);
 }
 
-TEST(KronSumLeftSolver, MatchesDenseOracle) {
-    util::Rng rng(1403);
-    const int m = 4, p = 3;
-    const Matrix a = test::random_stable_matrix(m, rng);  // outer
-    const Matrix b = test::random_stable_matrix(p, rng);  // inner
-    auto inner = std::make_shared<tn::DenseSchurSolver>(b);
-    tn::KronSumLeftSolver solver(schur_of(a), inner);
-    ASSERT_EQ(solver.dim(), m * p);
-    const Complex sigma(0.1, 1.1);
-    const ZVec rhs = test::random_zvector(m * p, rng);
-    const ZVec x = solver.solve(sigma, rhs);
-    const ZVec x_ref = dense_shifted_solve(tn::kron_sum(a, b), sigma, rhs);
-    EXPECT_LT(la::dist2(x, x_ref), 1e-8 * (1.0 + la::norm2(x_ref)));
-    // apply consistency.
-    ZVec res = solver.apply(x);
-    for (std::size_t i = 0; i < res.size(); ++i) res[i] = sigma * x[i] - res[i];
-    EXPECT_LT(la::dist2(res, rhs), 1e-8 * (1.0 + la::norm2(rhs)));
+// ---------------------------------------------------------------------------
+// (+)^3 sweep. These carry over the oracle tests of the nested solvers it
+// replaced: the left Kronecker-sum solver, its (+)^3 factory and the Gt2 block
+// solver (dense oracle, apply consistency, Theorem 1 kernel identity), and the
+// commuted solver (mode-swap symmetry).
+// ---------------------------------------------------------------------------
+
+/// (M (x) M (x) M) x for an n^3 vector in kron3 order.
+ZVec kron3_apply(const ZMatrix& m, ZVec x) {
+    const int n = m.rows();
+    for (const int stride : {1, n, n * n}) {
+        ZVec y(x.size());
+        for (int hi = 0; hi < n * n * n / (stride * n); ++hi)
+            for (int r = 0; r < n; ++r)
+                for (int lo = 0; lo < stride; ++lo) {
+                    Complex acc(0);
+                    for (int k = 0; k < n; ++k)
+                        acc += m(r, k) * x[static_cast<std::size_t>((hi * n + k) * stride + lo)];
+                    y[static_cast<std::size_t>((hi * n + r) * stride + lo)] = acc;
+                }
+        x = std::move(y);
+    }
+    return x;
 }
 
-TEST(KronSum3, MatchesDenseTripleSum) {
-    util::Rng rng(1404);
-    const int n = 3;
-    const Matrix a = test::random_stable_matrix(n, rng);
-    auto solver = tn::make_kron_sum3(schur_of(a));
-    ASSERT_EQ(solver->dim(), n * n * n);
-    const Matrix ks3 = tn::kron_sum(a, tn::kron_sum(a, a));
-    const Complex sigma(0.15, -0.4);
-    const ZVec rhs = test::random_zvector(n * n * n, rng);
-    const ZVec x = solver->solve(sigma, rhs);
-    const ZVec x_ref = dense_shifted_solve(ks3, sigma, rhs);
-    EXPECT_LT(la::dist2(x, x_ref), 1e-8 * (1.0 + la::norm2(x_ref)));
+std::size_t at3(int n, int j, int b, int a) {
+    return static_cast<std::size_t>((j * n + b) * n + a);
 }
 
-TEST(BlockTriangularSolver, MatchesDenseBlockOracle) {
-    // Gt2 = [[G1, G2], [0, G1 (+) G1]] exactly as in paper eq. (17).
+/// Random n^3 tensor with every slice symmetric in (a, b); otherwise full rank.
+ZVec random_inner_symmetric(int n, util::Rng& rng) {
+    ZVec x(static_cast<std::size_t>(n * n * n));
+    for (int j = 0; j < n; ++j)
+        for (int b = 0; b < n; ++b)
+            for (int a = b; a < n; ++a)
+                x[at3(n, j, b, a)] = x[at3(n, j, a, b)] = Complex(rng.gaussian(), rng.gaussian());
+    return x;
+}
+
+/// (sigma I - (+)^3 A)^{-1} rhs through the Schur-coordinate sweep.
+ZVec sweep_solve(const la::ComplexSchur& cs, Complex sigma, const ZVec& rhs) {
+    ZVec x = kron3_apply(la::adjoint(cs.z()), rhs);
+    tn::kron_sum3_sweep(cs.t(), sigma, x.data());
+    return kron3_apply(cs.z(), x);
+}
+
+TEST(KronSum3Sweep, MatchesDenseKronSumOracle) {
+    // Full-rank right-hand side at a complex shift.
+    for (const int n : {3, 5, 6}) {
+        util::Rng rng(1404 + static_cast<std::uint64_t>(n));
+        const Matrix a = test::random_stable_matrix(n, rng);
+        const Matrix ks3 = tn::kron_sum(a, tn::kron_sum(a, a));
+        const Complex sigma(0.15, -0.4);
+        const ZVec rhs = random_inner_symmetric(n, rng);
+        const ZVec x = sweep_solve(la::ComplexSchur(a), sigma, rhs);
+        const ZVec x_ref = dense_shifted_solve(ks3, sigma, rhs);
+        EXPECT_LT(la::dist2(x, x_ref), 1e-9 * (1.0 + la::norm2(x_ref))) << "n = " << n;
+    }
+}
+
+TEST(KronSum3Sweep, ReadsOnlyLowerTriangles) {
+    // The strict upper triangle of each input slice is never read: poisoning
+    // it with NaN changes nothing, and the output is symmetric again.
+    util::Rng rng(1408);
+    const int n = 5;
+    const la::ComplexSchur cs(test::random_stable_matrix(n, rng));
+    const ZVec rhs = random_inner_symmetric(n, rng);
+    ZVec clean = rhs, poisoned = rhs;
+    for (int j = 0; j < n; ++j)
+        for (int b = 0; b < n; ++b)
+            for (int a = 0; a < b; ++a) poisoned[at3(n, j, b, a)] = Complex(std::nan(""), 0.0);
+    tn::kron_sum3_sweep(cs.t(), Complex(0.3, 0.1), clean.data());
+    tn::kron_sum3_sweep(cs.t(), Complex(0.3, 0.1), poisoned.data());
+    for (std::size_t e = 0; e < clean.size(); ++e) EXPECT_EQ(clean[e], poisoned[e]);
+}
+
+TEST(KronSum3Sweep, ResidualOnTriangularOperator) {
+    // sigma x - (T (+) T (+) T) x must reproduce the right-hand side for an
+    // arbitrary complex upper-triangular T.
     util::Rng rng(1405);
     const int n = 4;
-    const Matrix g1 = test::random_stable_matrix(n, rng);
-    sparse::SparseTensor3 g2(n, n, n);
-    for (int k = 0; k < 20; ++k)
-        g2.add(rng.uniform_int(0, n - 1), rng.uniform_int(0, n - 1), rng.uniform_int(0, n - 1),
-               rng.gaussian());
-
-    auto schur = schur_of(g1);
-    auto low = std::make_shared<tn::KronSum2Solver>(schur);
-    tn::BlockTriangularSolver solver(schur, g2, low);
-    ASSERT_EQ(solver.dim(), n + n * n);
-
-    // Dense oracle.
-    Matrix big(n + n * n, n + n * n);
+    ZMatrix t(n, n);
     for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j) big(i, j) = g1(i, j);
-    const Matrix g2d = g2.to_dense_matrix();
-    for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n * n; ++j) big(i, n + j) = g2d(i, j);
-    const Matrix ks = tn::kron_sum(g1, g1);
-    for (int i = 0; i < n * n; ++i)
-        for (int j = 0; j < n * n; ++j) big(n + i, n + j) = ks(i, j);
+        for (int j = i; j < n; ++j) t(i, j) = Complex(rng.gaussian(), rng.gaussian());
+    const Complex sigma(2.5, 1.5);
+    const ZVec rhs = random_inner_symmetric(n, rng);
+    ZVec x = rhs;
+    tn::kron_sum3_sweep(t, sigma, x.data());
 
-    const Complex sigma(0.2, 0.9);
-    const ZVec rhs = test::random_zvector(n + n * n, rng);
-    const ZVec x = solver.solve(sigma, rhs);
-    const ZVec x_ref = dense_shifted_solve(big, sigma, rhs);
-    EXPECT_LT(la::dist2(x, x_ref), 1e-8 * (1.0 + la::norm2(x_ref)));
-
-    // apply consistency.
-    ZVec res = solver.apply(x);
-    for (std::size_t i = 0; i < res.size(); ++i) res[i] = sigma * x[i] - res[i];
-    EXPECT_LT(la::dist2(res, rhs), 1e-8 * (1.0 + la::norm2(rhs)));
+    ZVec res(x.size());
+    for (int j = 0; j < n; ++j)
+        for (int b = 0; b < n; ++b)
+            for (int a = 0; a < n; ++a) {
+                Complex op(0);
+                for (int k = 0; k < n; ++k)
+                    op += t(j, k) * x[at3(n, k, b, a)] + t(b, k) * x[at3(n, j, k, a)] +
+                          t(a, k) * x[at3(n, j, b, k)];
+                res[at3(n, j, b, a)] = sigma * x[at3(n, j, b, a)] - op;
+            }
+    EXPECT_LT(la::dist2(res, rhs), 1e-10 * (1.0 + la::norm2(rhs)));
 }
 
-TEST(CommutedSolver, RepresentsSwappedKronSum) {
-    // Inner = A (+) B (A outer); commuted must equal B (+) A.
-    util::Rng rng(1406);
-    const int m = 3, p = 4;
-    const Matrix a = test::random_stable_matrix(m, rng);
-    const Matrix b = test::random_stable_matrix(p, rng);
-    auto inner_b = std::make_shared<tn::DenseSchurSolver>(b);
-    auto inner = std::make_shared<tn::KronSumLeftSolver>(schur_of(a), inner_b);
-    tn::CommutedSolver solver(inner, m, p);
-
-    const Complex sigma(0.35, 0.2);
-    const ZVec rhs = test::random_zvector(m * p, rng);
-    const ZVec x = solver.solve(sigma, rhs);
-    const ZVec x_ref = dense_shifted_solve(tn::kron_sum(b, a), sigma, rhs);
-    EXPECT_LT(la::dist2(x, x_ref), 1e-8 * (1.0 + la::norm2(x_ref)));
-}
-
-TEST(StructuredSolvers, Theorem1KernelIdentity) {
-    // Paper Theorem 1/Corollary 1 in operator form: the structured solve of
-    // (sI - A1 (+) A2)^{-1} applied to b1 (x) b2 equals the associated
-    // transform of the product of resolvents; cross-check with dense algebra.
+TEST(KronSum3Sweep, RankOneKernelIdentity) {
+    // Paper Theorem 1 in operator form, on the A3 chain's right-hand side
+    // b1 (x) sym(b2 (x) b3): the structured solve equals the dense resolvent.
     util::Rng rng(1407);
-    const int n1 = 3, n2 = 2;
-    const Matrix a1 = test::random_stable_matrix(n1, rng);
-    const Matrix a2 = test::random_stable_matrix(n2, rng);
-    const la::Vec b1 = test::random_vector(n1, rng);
-    const la::Vec b2 = test::random_vector(n2, rng);
-
-    auto inner = std::make_shared<tn::DenseSchurSolver>(a2);
-    tn::KronSumLeftSolver solver(schur_of(a1), inner);
-
+    const int n = 4;
+    const Matrix a = test::random_stable_matrix(n, rng);
+    const la::Vec b1 = test::random_vector(n, rng);
+    const la::Vec b2 = test::random_vector(n, rng);
+    const la::Vec b3 = test::random_vector(n, rng);
+    la::Vec w = tn::kron3(b1, b2, b3);
+    la::axpy(1.0, tn::kron3(b1, b3, b2), w);
+    la::scale(0.5, w);
     const Complex s(0.9, 0.0);
-    const ZVec rhs = la::complexify(tn::kron(b1, b2));
-    const ZVec lhs = solver.solve(s, rhs);
-    const ZVec ref = dense_shifted_solve(tn::kron_sum(a1, a2), s, rhs);
-    EXPECT_LT(la::dist2(lhs, ref), 1e-9);
+    const ZVec rhs = la::complexify(w);
+    const ZVec lhs = sweep_solve(la::ComplexSchur(a), s, rhs);
+    const ZVec ref = dense_shifted_solve(tn::kron_sum(a, tn::kron_sum(a, a)), s, rhs);
+    EXPECT_LT(la::dist2(lhs, ref), 1e-9 * (1.0 + la::norm2(ref)));
+    // A real shift on real data gives a real solution.
+    double imag = 0.0;
+    for (const Complex& v : lhs) imag = std::max(imag, std::abs(v.imag()));
+    EXPECT_LT(imag, 1e-10 * (1.0 + la::norm2(ref)));
+}
+
+TEST(KronSum3Sweep, KeepsFullSymmetry) {
+    // (+)^3 A commutes with every permutation of its modes, so a fully
+    // symmetric right-hand side (the cubic term's) has a fully symmetric
+    // solution: swapping the outer mode with an inner one leaves it fixed.
+    util::Rng rng(1406);
+    const int n = 4;
+    const la::ComplexSchur cs(test::random_stable_matrix(n, rng));
+    const ZVec u = test::random_zvector(n, rng), v = test::random_zvector(n, rng);
+    ZVec rhs(static_cast<std::size_t>(n * n * n));
+    for (int j = 0; j < n; ++j)
+        for (int b = 0; b < n; ++b)
+            for (int a = 0; a < n; ++a)
+                rhs[at3(n, j, b, a)] = u[j] * u[b] * v[a] + u[j] * v[b] * u[a] + v[j] * u[b] * u[a];
+    ZVec x = kron3_apply(la::adjoint(cs.z()), rhs);
+    tn::kron_sum3_sweep(cs.t(), Complex(0.35, 0.2), x.data());
+    for (int j = 0; j < n; ++j)
+        for (int b = 0; b < n; ++b)
+            for (int a = 0; a < n; ++a)
+                EXPECT_LT(std::abs(x[at3(n, j, b, a)] - x[at3(n, a, b, j)]),
+                          1e-12 * (1.0 + std::abs(x[at3(n, j, b, a)])));
+}
+
+TEST(KronSum3Sweep, ZeroPivotThrowsTyped) {
+    // sigma = -7 = (-1) + (-2) + (-4) is an eigenvalue triple sum of
+    // diag(-1, -2, -4): the sweep must throw, not return inf/NaN.
+    ZMatrix t(3, 3);
+    t(0, 0) = Complex(-1.0);
+    t(1, 1) = Complex(-2.0);
+    t(2, 2) = Complex(-4.0);
+    ZVec x(27, Complex(1.0));
+    EXPECT_THROW(tn::kron_sum3_sweep(t, Complex(-7.0), x.data()), util::InternalError);
+    // A regular shift on the same operator is fine and finite.
+    ZVec y(27, Complex(1.0));
+    tn::kron_sum3_sweep(t, Complex(-7.5), y.data());
+    for (const Complex& v : y) EXPECT_TRUE(std::isfinite(v.real()) && std::isfinite(v.imag()));
 }
 
 }  // namespace

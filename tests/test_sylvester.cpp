@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "la/lu.hpp"
 #include "la/schur.hpp"
 #include "la/sylvester.hpp"
@@ -109,6 +111,28 @@ TEST(TriSylvester, ShiftedSingularPencilThrows) {
     ZMatrix t1(1, 1), t2(1, 1), c(1, 1);
     c(0, 0) = Complex(1.0, 0.0);
     EXPECT_THROW(la::tri_sylvester_shifted(t1, t2, Complex(0.0, 0.0), c), util::InternalError);
+}
+
+TEST(TriSylvester, SymmetricSweepMatchesGeneral) {
+    // T1 = T2 = T and C = C^T: the half sweep (lower triangles, mirrored)
+    // equals the full one and never reads C's strict upper triangle.
+    util::Rng rng(706);
+    const int n = 7;
+    const la::ComplexSchur cs(test::random_stable_matrix(n, rng));
+    const ZMatrix tt = la::transpose(cs.t());
+    ZMatrix c(n, n);  // symmetric, so row-major and column-major agree
+    for (int i = 0; i < n; ++i)
+        for (int j = 0; j <= i; ++j) c(i, j) = c(j, i) = Complex(rng.gaussian(), rng.gaussian());
+    ZMatrix full = c, half = c;
+    // Read column-major, half(i, j) is row j of column i: i > j is above the diagonal.
+    for (int i = 0; i < n; ++i)
+        for (int j = 0; j < i; ++j) half(i, j) = Complex(std::nan(""), 0.0);
+    const Complex sigma(0.2, -0.7);
+    la::tri_sylvester_sweep(tt, cs.t(), sigma, full.data());
+    la::tri_sylvester_sweep(tt, cs.t(), sigma, half.data(), true);
+    for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j)
+            EXPECT_LT(std::abs(full(i, j) - half(i, j)), 1e-12 * (1.0 + std::abs(full(i, j))));
 }
 
 TEST(SylvesterEquationFromPaper, PiDecouplingEquationSolvable) {
