@@ -2,7 +2,7 @@
 //
 //   A. Large-sparse power-delivery mesh (n >= 5000 nodes): a 1-axis
 //      clamp-strength family of the 5-point-stencil grid reduces through the
-//      sparse-first stack (sparse::SparseLu + RCM resolvents; the builder
+//      sparse-first stack (sparse::SparseLu minimum-degree resolvents; the builder
 //      picks SparseLuBackend because the lifted G1 is sparse) and serves
 //      parametrically at reduced order. Invariant: the engine's
 //      max_factor_dim stays BELOW the full order -- zero dense full-order
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     gfam.adaptive.band_grid = 5;
     gfam.adaptive.max_points = 3;
     // Linear (k1-only) subspaces: the mesh family stresses the SPARSE stack
-    // -- SparseLu + RCM resolvents at n > 5000 -- while the quadratic
+    // -- SparseLu minimum-degree resolvents at n > 5000 -- while the quadratic
     // machinery is stressed at small order by the mixer sections below.
     // Second-order moment work scales with n^2 and has no business in the
     // large-sparse axis.

@@ -133,14 +133,34 @@ private:
     std::vector<std::pair<std::string, std::string>> fields_;
 };
 
+/// CPU model string from /proc/cpuinfo ("unknown" where there is none),
+/// stripped of characters that would need escaping in JSON.
+inline std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0) continue;
+        const std::size_t colon = line.find(':');
+        if (colon == std::string::npos) break;
+        std::string model;
+        for (char c : line.substr(colon + 1))
+            if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) model += c;
+        const std::size_t first = model.find_first_not_of(' ');
+        return first == std::string::npos ? "unknown" : model.substr(first);
+    }
+    return "unknown";
+}
+
 /// Environment header every bench JSON carries: the perf gate
 /// (scripts/bench_compare.py) uses hardware_concurrency to decide whether a
 /// baseline-vs-fresh comparison is apples-to-apples (warn, don't fail, when
 /// the machines differ) and whether the thread-scaling gate is enforceable;
-/// compiler and simd_level make a kernel-config mismatch visible at a glance.
+/// compiler and simd_level make a kernel-config mismatch visible at a glance,
+/// and cpu_model names the machine a baseline was recorded on.
 inline void add_env_header(Json& json) {
     json.num("hardware_concurrency",
              static_cast<int>(std::thread::hardware_concurrency()));
+    json.str("cpu_model", cpu_model());
 #if defined(__VERSION__)
     json.str("compiler", __VERSION__);
 #else

@@ -6,8 +6,8 @@
 //
 // The interesting regime is n = rows * cols >= 5000: the nodal conductance
 // matrix is a 5-point-stencil Laplacian, so the lifted QLDAE stresses
-// exactly the sparse-first machinery -- sparse::SparseLu + RCM ordering for
-// the shifted resolvents and the Schur backend for the bordered lifted
+// exactly the sparse-first machinery -- sparse::SparseLu with its
+// minimum-degree ordering for the shifted resolvents and the Schur backend for the bordered lifted
 // blocks -- while the clamp diodes keep the family genuinely nonlinear
 // (grounded exponential elements, same lifting as the NLTL ladder).
 #pragma once

@@ -110,66 +110,11 @@ Csc<double> csc_of(const CsrMatrix& a) {
 }
 
 template <class T>
-std::vector<int> rcm_order(const Csc<T>& a) {
-    const int n = a.n;
-    // Symmetric adjacency of A + A^T (diagonal dropped).
-    std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j)
-        for (int p = a.col_ptr[static_cast<std::size_t>(j)];
-             p < a.col_ptr[static_cast<std::size_t>(j) + 1]; ++p) {
-            const int i = a.row_idx[static_cast<std::size_t>(p)];
-            if (i == j) continue;
-            adj[static_cast<std::size_t>(i)].push_back(j);
-            adj[static_cast<std::size_t>(j)].push_back(i);
-        }
-    for (auto& nb : adj) {
-        std::sort(nb.begin(), nb.end());
-        nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
-    }
-    auto degree = [&](int v) { return static_cast<int>(adj[static_cast<std::size_t>(v)].size()); };
-
-    std::vector<int> order;
-    order.reserve(static_cast<std::size_t>(n));
-    std::vector<char> visited(static_cast<std::size_t>(n), 0);
-    std::vector<int> queue;
-    queue.reserve(static_cast<std::size_t>(n));
-    for (;;) {
-        // Root: unvisited node of minimum degree (pseudo-peripheral enough).
-        int root = -1;
-        for (int v = 0; v < n; ++v)
-            if (!visited[static_cast<std::size_t>(v)] && (root < 0 || degree(v) < degree(root)))
-                root = v;
-        if (root < 0) break;
-        queue.clear();
-        queue.push_back(root);
-        visited[static_cast<std::size_t>(root)] = 1;
-        for (std::size_t head = 0; head < queue.size(); ++head) {
-            const int v = queue[head];
-            order.push_back(v);
-            std::vector<int> next;
-            for (int w : adj[static_cast<std::size_t>(v)])
-                if (!visited[static_cast<std::size_t>(w)]) {
-                    visited[static_cast<std::size_t>(w)] = 1;
-                    next.push_back(w);
-                }
-            std::sort(next.begin(), next.end(),
-                      [&](int x, int y) { return degree(x) < degree(y); });
-            queue.insert(queue.end(), next.begin(), next.end());
-        }
-    }
-    std::reverse(order.begin(), order.end());
-    return order;
-}
-
-template std::vector<int> rcm_order(const Csc<double>&);
-template std::vector<int> rcm_order(const Csc<la::Complex>&);
-
-template <class T>
 SparseLu<T>::SparseLu(const Csc<T>& a) {
     ATMOR_REQUIRE(a.n >= 1, "SparseLu: empty matrix");
     ATMOR_REQUIRE(static_cast<int>(a.col_ptr.size()) == a.n + 1, "SparseLu: bad col_ptr");
     n_ = a.n;
-    q_ = rcm_order(a);
+    q_ = amd_order(a);
     // Permuted matrix B[i, j] = A[q[i], q[j]] (counting-sort rebuild).
     std::vector<int> qi(static_cast<std::size_t>(n_));
     for (int k = 0; k < n_; ++k) qi[static_cast<std::size_t>(q_[static_cast<std::size_t>(k)])] = k;

@@ -82,7 +82,7 @@ TEST(MultiRhs, DenseComplexLuBlockedMatchesSingleBitForBit) {
 
 TEST(MultiRhs, SparseLuBlockedMatchesSingleBitForBit) {
     // Lifted NLTL: the pipeline's actual sparsity pattern (with pivoting and
-    // RCM permutation exercised).
+    // the minimum-degree permutation exercised).
     circuits::NltlOptions copt;
     copt.stages = 30;
     const volterra::Qldae sys = circuits::current_source_line(copt).to_qldae();

@@ -10,6 +10,7 @@
 // predictions, and batch-vs-loop identity for the serving layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <set>
@@ -23,6 +24,7 @@
 #include "la/qr.hpp"
 #include "la/solver_backend.hpp"
 #include "mor/adaptive.hpp"
+#include "mor/error_estimator.hpp"
 #include "pmor/family_builder.hpp"
 #include "pmor/param_space.hpp"
 #include "rom/registry.hpp"
@@ -60,7 +62,8 @@ TEST(Scenarios, PowerGridLiftsToSparseQldae) {
     EXPECT_EQ(q.inputs(), 1);
     EXPECT_EQ(q.outputs(), 1);
     // The mesh conductance is a 5-point stencil: the lifted G1 must stay
-    // sparse-first so SparseLu + RCM is the backend the family serves on.
+    // sparse-first so SparseLu (minimum-degree ordered) is the backend the
+    // family serves on.
     EXPECT_TRUE(q.g1_op().is_sparse());
     EXPECT_TRUE(q.has_quadratic());  // clamp lifting stamps G2 rows
 
@@ -80,8 +83,8 @@ TEST(Scenarios, PowerGridLargeMeshReducesSparseFirst) {
     // The large-sparse regime at sanitizer-friendly scale: 40x40 = 1600
     // nodes by default, scaled up by ATMOR_LARGE_MESH (the ASan CI job runs
     // 72 -> 5184 nodes, the bench_scenarios regime) so the sparse stamping,
-    // RCM-ordered LU and k1-only Krylov path get lifetime/UB coverage at
-    // real mesh sizes. Light pitch RC keeps the far-corner observation
+    // minimum-degree-ordered LU and k1-only Krylov path get lifetime/UB
+    // coverage at real mesh sizes. Light pitch RC keeps the far-corner observation
     // above the noise floor at any of these sizes (the band response decays
     // like e^{-L sqrt(omega R C)} across L pitches).
     int side = 40;
@@ -110,6 +113,33 @@ TEST(Scenarios, PowerGridLargeMeshReducesSparseFirst) {
     const mor::AdaptiveResult r = mor::reduce_adaptive(full, a);
     EXPECT_TRUE(r.converged);
     EXPECT_LT(r.model.order, full.order() / 10);
+
+    // The greedy decisions are pinned at the two sizes the suite runs, so a
+    // change to the sparse solver (its ordering, its roundoff) cannot move
+    // them silently: the expansion points, k1 per point, the order, and a
+    // true (full-order) H1 error bound over the band.
+    struct Pinned {
+        int side;
+        std::vector<Complex> points;
+        int order;
+        double true_h1_bound;
+    };
+    const std::vector<Pinned> pins = {{40, {Complex(1.0, 0.0)}, 8, 1e-4},
+                                      {72, {Complex(1.0, 0.0), Complex(1.0, 2.0)}, 16, 1e-8}};
+    for (const Pinned& pin : pins) {
+        if (pin.side != side) continue;
+        const rom::Provenance& prov = r.model.provenance;
+        EXPECT_EQ(prov.expansion_points, pin.points);
+        ASSERT_EQ(prov.point_orders.size(), pin.points.size());
+        for (const rom::PointOrder& po : prov.point_orders)
+            EXPECT_EQ(po, (rom::PointOrder{8, 0, 0}));
+        EXPECT_EQ(r.model.order, pin.order);
+        const mor::ErrorEstimator truth(full);
+        double worst = 0.0;
+        for (const Complex s : mor::band_grid(a))
+            worst = std::max(worst, truth.true_h1_error(r.model, s));
+        EXPECT_LE(worst, pin.true_h1_bound);
+    }
 }
 
 TEST(Scenarios, PowerGridKeyIsStable) {

@@ -2,6 +2,12 @@
 // cache keyed by (operator, shift), and the sparse LU underneath it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "circuits/nltl.hpp"
+#include "circuits/power_grid.hpp"
+#include "circuits/rf_receiver.hpp"
 #include "la/lu.hpp"
 #include "la/operator.hpp"
 #include "la/schur.hpp"
@@ -92,8 +98,9 @@ TEST(SparseLu, SingularMatrixThrows) {
 }
 
 TEST(SparseLu, BandedSystemHasNoFill) {
-    // Tridiagonal: natural-order LU stays tridiagonal (no fill-in), which is
-    // the structural bet the sparse-first pipeline makes on MNA ladders.
+    // Tridiagonal: minimum degree eliminates from the ends of the path, so
+    // LU stays tridiagonal (no fill-in) -- the structural bet the
+    // sparse-first pipeline makes on MNA ladders.
     const int n = 200;
     sparse::CooBuilder coo(n, n);
     for (int i = 0; i < n; ++i) {
@@ -105,6 +112,154 @@ TEST(SparseLu, BandedSystemHasNoFill) {
     const sparse::SpLu lu = sparse::splu(s);
     EXPECT_LE(lu.factor_nnz(), 4 * n);  // L: diag + subdiag, U: diag + superdiag
     EXPECT_GT(lu.pivot_ratio(), 0.1);
+}
+
+/// Diagonally dominant matrix on a random pattern built to stress the
+/// ordering: `components` disconnected blocks of random unsymmetric
+/// couplings, every seventh node isolated (diagonal only), and one node
+/// coupled to all others in both its row and its column.
+sparse::CsrMatrix stress_pattern(int n, int components, int per_node, util::Rng& rng) {
+    sparse::CooBuilder coo(n, n);
+    const int dense_node = n > 2 ? rng.uniform_int(0, n - 1) : -1;
+    for (int i = 0; i < n; ++i) coo.add(i, i, 2.0 * per_node + n + 1.0);
+    auto isolated = [&](int v) { return v % 7 == 3 && v != dense_node; };
+    for (int i = 0; i < n; ++i) {
+        if (isolated(i)) continue;
+        const int block = i % components;
+        for (int t = 0; t < per_node; ++t) {
+            const int j = block + components * rng.uniform_int(0, (n - 1 - block) / components);
+            if (j != i && !isolated(j)) coo.add(i, j, rng.gaussian());
+        }
+    }
+    if (dense_node >= 0)
+        for (int j = 0; j < n; ++j)
+            if (j != dense_node) {
+                coo.add(dense_node, j, 1.0);
+                coo.add(j, dense_node, -1.0);
+            }
+    return sparse::CsrMatrix(coo);
+}
+
+bool is_permutation_of_n(const std::vector<int>& q, int n) {
+    if (static_cast<int>(q.size()) != n) return false;
+    std::vector<int> sorted = q;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<int> iota(static_cast<std::size_t>(n));
+    std::iota(iota.begin(), iota.end(), 0);
+    return sorted == iota;
+}
+
+TEST(SparseLu, AmdOrderIsAPermutationOnRandomPatterns) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        util::Rng rng(seed);
+        for (int n : {1, 2, 3, 17, 64, 150, 300}) {
+            // Sparse couplings, and dense enough ones (12 per node) that the
+            // quotient graph outgrows its elbow room and is compacted.
+            for (int per_node : {2, 12}) {
+                const int components = std::max(1, std::min(n, 1 + static_cast<int>(seed)));
+                const sparse::CsrMatrix a = stress_pattern(n, components, per_node, rng);
+                const sparse::Csc<double> c = sparse::csc_of(a);
+                const std::vector<int> q = sparse::amd_order(c);
+                ASSERT_TRUE(is_permutation_of_n(q, n)) << "seed " << seed << " n " << n;
+                EXPECT_EQ(q, sparse::amd_order(c)) << "the order must be deterministic";
+                // The order plugs into the factorisation: solve and compare.
+                const Vec b = test::random_vector(n, rng);
+                const Vec x = sparse::splu(a).solve(b);
+                EXPECT_LT(la::dist2(a.matvec(x), b), 1e-10 * (1.0 + la::norm2(b)))
+                    << "seed " << seed << " n " << n;
+            }
+        }
+    }
+}
+
+TEST(SparseLu, AmdOrderSurvivesQuotientGraphCompaction) {
+    // A 6x6x6 seven-point stencil: its elements outgrow the quotient
+    // graph's elbow room, so the ordering compacts its storage mid-run.
+    const int m = 6;
+    const int n = m * m * m;
+    auto id = [m](int a, int b, int c) { return (a * m + b) * m + c; };
+    sparse::CooBuilder coo(n, n);
+    for (int a = 0; a < m; ++a)
+        for (int b = 0; b < m; ++b)
+            for (int c = 0; c < m; ++c) {
+                const int i = id(a, b, c);
+                coo.add(i, i, 7.0);
+                for (int j : {a + 1 < m ? id(a + 1, b, c) : -1, b + 1 < m ? id(a, b + 1, c) : -1,
+                              c + 1 < m ? id(a, b, c + 1) : -1})
+                    if (j >= 0) {
+                        coo.add(i, j, -1.0);
+                        coo.add(j, i, -1.0);
+                    }
+            }
+    const sparse::CsrMatrix a(coo);
+    ASSERT_TRUE(is_permutation_of_n(sparse::amd_order(sparse::csc_of(a)), n));
+    const sparse::SpLu lu = sparse::splu(a);
+    // A band ordering holds ~m^2 entries per row in each factor (~2 n m^2).
+    EXPECT_LT(lu.factor_nnz(), n * m * m);
+    util::Rng rng(11);
+    const Vec b = test::random_vector(n, rng);
+    EXPECT_LT(la::dist2(a.matvec(lu.solve(b)), b), 1e-12 * la::norm2(b));
+}
+
+TEST(SparseLu, AmdOrderEliminatesTheDenseRowLast) {
+    // An arrow matrix: the hub touches every node, every other node only the
+    // hub. Any order that eliminates the hub early fills the whole matrix.
+    const int n = 120;
+    sparse::CooBuilder coo(n, n);
+    const int hub = 37;
+    for (int i = 0; i < n; ++i) {
+        coo.add(i, i, 4.0);
+        if (i != hub) {
+            coo.add(i, hub, 1.0);
+            coo.add(hub, i, 1.0);
+        }
+    }
+    const sparse::CsrMatrix a(coo);
+    const std::vector<int> q = sparse::amd_order(sparse::csc_of(a));
+    ASSERT_TRUE(is_permutation_of_n(q, n));
+    EXPECT_EQ(q.back(), hub);
+    EXPECT_LE(sparse::splu(a).factor_nnz(), 4 * n);  // L: 2 per column, U: diag + hub column
+}
+
+TEST(SparseLu, PowerGridMeshFillsLessThanHalfTheBandOrdering) {
+    // The 72x72 mesh with 8 clamps (n = 5192): a 2-D stencil, where a band
+    // ordering holds ~72 columns of fill per row (514,700 nonzeros in L + U)
+    // and minimum degree about a third of that.
+    circuits::PowerGridOptions opt;
+    opt.rows = 72;
+    opt.cols = 72;
+    opt.clamps = 8;
+    opt.pitch_resistance = 0.02;
+    opt.decap = 0.2;
+    opt.load_conductance = 0.02;
+    const volterra::Qldae q = circuits::power_grid(opt).to_qldae();
+    ASSERT_EQ(q.order(), 5192);
+    const sparse::CsrMatrix& g1 = *q.g1_csr();
+    const Complex sigma(0.0, 0.7);
+    const sparse::ZSpLu lu = sparse::splu_shifted(g1, sigma);
+    EXPECT_LE(lu.factor_nnz(), 260000);
+
+    util::Rng rng(7);
+    const ZVec b = test::random_zvector(q.order(), rng);
+    const ZVec x = lu.solve(b);
+    ZVec r = g1.matvec(x);
+    for (std::size_t i = 0; i < r.size(); ++i) r[i] = sigma * x[i] - r[i] - b[i];
+    EXPECT_LE(la::norm2(r) / la::norm2(b), 1e-12);
+}
+
+TEST(SparseLu, LadderFillStaysNearTheBandOrdering) {
+    // MNA ladders factor fill-free under a band ordering (547 nonzeros in
+    // L + U for the current-source NLTL-35, 770 for the RF receiver); the
+    // minimum-degree order must not give that away.
+    circuits::NltlOptions nltl;
+    nltl.stages = 35;
+    const volterra::Qldae line = circuits::current_source_line(nltl).to_qldae();
+    ASSERT_TRUE(line.is_sparse());
+    EXPECT_LE(sparse::splu_shifted(*line.g1_csr(), 1.0).factor_nnz(), 547 * 5 / 4);
+
+    const volterra::Qldae rf = circuits::rf_receiver();
+    ASSERT_TRUE(rf.is_sparse());
+    EXPECT_LE(sparse::splu_shifted(*rf.g1_csr(), 1.0).factor_nnz(), 770 * 5 / 4);
 }
 
 TEST(Operator, DenseAndSparseAgree) {
