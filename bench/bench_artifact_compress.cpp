@@ -132,14 +132,21 @@ int main(int argc, char** argv) {
     inv.require(mapped.lazy(), "the artifact opens through the mmap reader");
     rom::ServeEngine eager_engine(std::make_shared<rom::Registry>());
     rom::ServeEngine lazy_engine(std::make_shared<rom::Registry>());
+    eager_engine.host_family(eager);
+    lazy_engine.host_family(mapped);
+    const auto query = [&grid, &family](const pmor::Point& q) {
+        rom::ServeRequest req;
+        req.body = rom::ParametricQueryRequest{family.family_id, q, grid};
+        return req;
+    };
 
     int certified = 0;
     bool identical = true;
     for (const pmor::Point& q : held_out) {
-        const rom::ParametricAnswer a = eager_engine.serve_parametric(eager, q, grid);
-        const rom::ParametricAnswer b = lazy_engine.serve_parametric(mapped, q, grid);
-        if (!a.fallback && a.certificate.estimated_error <= family.tol) ++certified;
-        identical = identical && a.member == b.member &&
+        const rom::ServeResponse a = eager_engine.serve(query(q));
+        const rom::ServeResponse b = lazy_engine.serve(query(q));
+        if (a.ok() && !a.fallback && a.certificate.estimated_error <= family.tol) ++certified;
+        identical = identical && a.ok() && b.ok() && a.member == b.member &&
                     a.certificate.estimated_error == b.certificate.estimated_error;
         for (std::size_t g = 0; identical && g < grid.size(); ++g)
             identical = la::max_abs(a.response[g] - b.response[g]) == 0.0;

@@ -5,9 +5,9 @@
 //
 // Offline, pmor::FamilyBuilder greedily samples the box until every
 // training-grid point is covered under the family tolerance. Online, a
-// HELD-OUT offset grid (never coincides with training points) queries
-// rom::ServeEngine::serve_parametric. Invariants (nonzero exit on
-// violation):
+// HELD-OUT offset grid (never coincides with training points) queries the
+// family hosted on a rom::ServeEngine through serve(). Invariants (nonzero
+// exit on violation):
 //   * every held-out query is either served by a member whose online
 //     certificate is <= tol, or routed to the fallback on-demand build;
 //   * warm family serving beats a per-instance cold build by >= 10x;
@@ -99,13 +99,20 @@ int main(int argc, char** argv) {
     popt.fallback_key = [&](const pmor::Point& p) {
         return pmor::member_key(design, fopt.adaptive, p);
     };
+    engine.host_family(family, popt);  // the fallback hooks live host-side
+    const auto query = [&grid, &family](const pmor::Point& q, double tol) {
+        rom::ServeRequest req;
+        req.body = rom::ParametricQueryRequest{family.family_id, q, grid, tol};
+        return req;
+    };
 
     const std::vector<pmor::Point> held_out = design.space.offset_grid(held_out_per_dim);
     bench::InvariantChecker inv;
     int certified = 0;
     int fallbacks = 0;
     for (const pmor::Point& q : held_out) {
-        const rom::ParametricAnswer ans = engine.serve_parametric(family, q, grid, popt);
+        const rom::ServeResponse ans = engine.serve(query(q, 0.0));
+        inv.require(ans.ok(), "held-out query [" + family.space.key(q) + "] is answered");
         if (ans.fallback) {
             ++fallbacks;
         } else {
@@ -127,24 +134,25 @@ int main(int argc, char** argv) {
     // training cell is beyond its cross-point certificate, so the engine
     // must fall back to a fresh on-demand build -- and that build's own
     // certificate must meet the demand.
-    rom::ParametricOptions tight = popt;
-    tight.tol = fopt.adaptive.tol;
+    const double tight_tol = fopt.adaptive.tol;
     std::size_t worst_cell = 0;
     for (std::size_t c = 1; c < family.cells.size(); ++c)
         if (family.cells[c].best_error > family.cells[worst_cell].best_error) worst_cell = c;
-    const rom::ParametricAnswer strict =
-        engine.serve_parametric(family, family.cells[worst_cell].coords, grid, tight);
-    inv.require(strict.fallback, "a tighter-than-family tolerance routes to fallback");
-    inv.require(strict.certificate.estimated_error <= tight.tol,
+    const rom::ServeResponse strict =
+        engine.serve(query(family.cells[worst_cell].coords, tight_tol));
+    inv.require(strict.ok() && strict.fallback,
+                "a tighter-than-family tolerance routes to fallback");
+    inv.require(strict.certificate.estimated_error <= tight_tol,
                 "the fallback build certifies the tightened tolerance");
-    std::printf("tightened query (tol %g): %s, certificate %.2e\n", tight.tol,
+    std::printf("tightened query (tol %g): %s, certificate %.2e\n", tight_tol,
                 strict.fallback ? "fallback build" : "member", strict.certificate.estimated_error);
 
     // -- Latency: warm family serve vs per-instance cold build. -------------
     const pmor::Point probe = held_out.front();
-    (void)engine.serve_parametric(family, probe, grid, popt);  // warm the caches
-    const double serve_seconds = bench::median_timed(
-        [&] { (void)engine.serve_parametric(family, probe, grid, popt); });
+    const rom::ServeRequest probe_query = query(probe, 0.0);
+    (void)engine.serve(probe_query);  // warm the caches
+    const double serve_seconds =
+        bench::median_timed([&] { (void)engine.serve(probe_query); });
     const double cold_build_seconds =
         bench::median_timed([&] { (void)popt.fallback_build(probe); }, 3);
     const double speedup = cold_build_seconds / serve_seconds;
@@ -168,9 +176,10 @@ int main(int argc, char** argv) {
         // replay the original members' cached evaluators (same cache key)
         // and never evaluate the deserialized models.
         rom::ServeEngine loaded_engine(std::make_shared<rom::Registry>());
-        const rom::ParametricAnswer a = engine.serve_parametric(family, probe, grid, popt);
-        const rom::ParametricAnswer b = loaded_engine.serve_parametric(loaded, probe, grid, popt);
-        roundtrip_ok = a.member == b.member &&
+        loaded_engine.host_family(loaded, popt);
+        const rom::ServeResponse a = engine.serve(probe_query);
+        const rom::ServeResponse b = loaded_engine.serve(probe_query);
+        roundtrip_ok = a.ok() && b.ok() && a.member == b.member &&
                        a.certificate.estimated_error == b.certificate.estimated_error;
         for (std::size_t g = 0; roundtrip_ok && g < grid.size(); ++g)
             roundtrip_ok = a.response[g](0, 0) == b.response[g](0, 0);

@@ -30,9 +30,9 @@
 //   usage: bench_serve_load [workers] [requests_per_class] [--threads N]
 //                           [--json-out=PATH] [--daemon]
 //
-// --daemon adds a fourth phase: the same mixed workload (spelled as wire
-// ServeRequests -- BuildSpecs instead of builder lambdas, WaveformSpecs
-// instead of input closures) served by a net::Daemon over loopback from N
+// --daemon adds a fourth phase: the same mixed workload (its models named
+// by BuildSpec instead of a pre-built registry key, so the daemon builds
+// them itself) served by a net::Daemon over loopback from N
 // concurrent clients. Every wire answer is compared byte-for-byte against
 // a fresh in-process reference engine (the unified-API contract), the
 // admission path is probed with an over-budget tenant (typed Overloaded,
@@ -50,7 +50,6 @@
 
 #include "bench_util.hpp"
 #include "circuits/nltl.hpp"
-#include "circuits/waveforms.hpp"
 #include "core/atmor.hpp"
 #include "mor/adaptive.hpp"
 #include "net/client.hpp"
@@ -159,6 +158,10 @@ int main(int argc, char** argv) {
     ropt.max_memory_models = 256;
     auto registry = std::make_shared<rom::Registry>(ropt);
     rom::ServeEngine engine(registry);
+    // Every engine below resolves the keyed models from this registry.
+    for (int m = 0; m < kKeyedModels; ++m)
+        (void)registry->get_or_build(keys[static_cast<std::size_t>(m)],
+                                     builders[static_cast<std::size_t>(m)]);
 
     const auto grids = make_grids(4);
     rom::ParametricOptions popt;
@@ -167,6 +170,13 @@ int main(int argc, char** argv) {
         r.model.provenance.source = pmor::member_key(design, fopt.adaptive, p);
         return std::move(r.model);
     };
+    engine.host_family(family, popt);
+    const auto parametric_request = [&](const pmor::Point& p,
+                                        const std::vector<la::Complex>& grid, double tol) {
+        rom::ServeRequest req;
+        req.body = rom::ParametricQueryRequest{family.family_id, p, grid, tol};
+        return req;
+    };
 
     // Warm parametric probes: held-out points a member certifies (screened
     // through a throwaway engine so the measured engine's counters stay
@@ -174,12 +184,13 @@ int main(int argc, char** argv) {
     // grid queried at the MEMBER tolerance, which no cell certifies.
     bench::InvariantChecker inv;
     rom::ServeEngine setup_engine(registry);
+    setup_engine.host_family(family, popt);
     std::vector<pmor::Point> warm_points;
-    for (const pmor::Point& p : design.space.offset_grid(3))
-        if (!setup_engine.serve_parametric(family, p, grids[0], popt).fallback)
-            warm_points.push_back(p);
-    rom::ParametricOptions cold_popt = popt;
-    cold_popt.tol = fopt.adaptive.tol;
+    for (const pmor::Point& p : design.space.offset_grid(3)) {
+        const rom::ServeResponse probe = setup_engine.serve(parametric_request(p, grids[0], 0.0));
+        if (probe.ok() && !probe.fallback) warm_points.push_back(p);
+    }
+    const double cold_tol = fopt.adaptive.tol;
     // Keep only points the routing rule REJECTS at the member tolerance
     // (nearest cell's certified error above it), so every cold request
     // provably takes the fallback path and the accounting below is exact.
@@ -191,7 +202,7 @@ int main(int argc, char** argv) {
                 family.space.distance(p, family.cells[nearest].coords))
                 nearest = c;
         if (family.cells[nearest].best < 0 ||
-            family.cells[nearest].best_error > cold_popt.tol)
+            family.cells[nearest].best_error > cold_tol)
             cold_points.push_back(p);
     }
     inv.require(!cold_points.empty(), "some points reject at the member tolerance");
@@ -200,10 +211,10 @@ int main(int argc, char** argv) {
     inv.require(!warm_points.empty(), "some held-out points are member-certified");
     if (warm_points.empty()) return 1;
 
-    std::vector<ode::InputFn> waveforms;
+    std::vector<rom::WaveformSpec> waveforms;
     for (int s = 0; s < 2; ++s)
         waveforms.push_back(
-            circuits::pulse_input(0.4 + 0.05 * s, 0.5, 1.0, 2.0 + 0.2 * s, 1.5));
+            rom::WaveformSpec::pulse(0.4 + 0.05 * s, 0.5, 1.0, 2.0 + 0.2 * s, 1.5));
     ode::TransientOptions topt;
     topt.t_end = 5.0;
     topt.dt = 1e-2;
@@ -213,28 +224,39 @@ int main(int argc, char** argv) {
     // Per-class request handlers against the measured engine. warm_freq
     // item i: even -> HOT model keys[0] (coalescing pressure), odd ->
     // spread across the other models; the grid cycles the overlapping
-    // variants either way.
+    // variants either way. A typed error is counted, never dropped.
     int rom_order = 0;
+    std::atomic<long> failed{0};
+    const auto serve = [&failed](rom::ServeEngine& eng, const rom::ServeRequest& req) {
+        rom::ServeResponse resp = eng.serve(req);
+        if (!resp.ok()) failed.fetch_add(1);
+        return resp;
+    };
     const auto do_warm_freq = [&](rom::ServeEngine& eng, int i) {
         const int k = (i % 2 == 0) ? 0 : 1 + (i / 2) % (kKeyedModels - 1);
-        return eng.frequency_response(keys[static_cast<std::size_t>(k)],
-                                      builders[static_cast<std::size_t>(k)],
-                                      grids[static_cast<std::size_t>(i % 4)]);
+        rom::ServeRequest req;
+        req.body =
+            rom::FrequencySweepRequest{rom::ModelRef::by_key(keys[static_cast<std::size_t>(k)]),
+                                       grids[static_cast<std::size_t>(i % 4)]};
+        return serve(eng, req).response;
     };
     const auto do_warm_parametric = [&](rom::ServeEngine& eng, int i) {
-        return eng.serve_parametric(family,
-                                    warm_points[static_cast<std::size_t>(i) % warm_points.size()],
-                                    grids[static_cast<std::size_t>(i % 4)], popt);
+        return serve(eng, parametric_request(
+                              warm_points[static_cast<std::size_t>(i) % warm_points.size()],
+                              grids[static_cast<std::size_t>(i % 4)], 0.0));
     };
     const auto do_transient = [&](rom::ServeEngine& eng, int i) {
         const int k = i % kKeyedModels;
-        return eng.transient_batch(keys[static_cast<std::size_t>(k)],
-                                   builders[static_cast<std::size_t>(k)], waveforms, topt);
+        rom::ServeRequest req;
+        req.body = rom::TransientBatchRequest{
+            rom::ModelRef::by_key(keys[static_cast<std::size_t>(k)]), waveforms,
+            rom::TransientSpec::from_options(topt)};
+        return serve(eng, req);
     };
     const auto do_cold_fallback = [&](rom::ServeEngine& eng, int i) {
-        return eng.serve_parametric(
-            family, cold_points[static_cast<std::size_t>(i) % cold_points.size()], grids[0],
-            cold_popt);
+        return serve(eng, parametric_request(
+                              cold_points[static_cast<std::size_t>(i) % cold_points.size()],
+                              grids[0], cold_tol));
     };
     const auto do_registry_write = [&](rom::ServeEngine& eng, int i) {
         // A fresh key per request: the build + insert path, concurrent with
@@ -355,7 +377,7 @@ int main(int argc, char** argv) {
     // Per-request answer slots for the bit-identity replay (distinct slots,
     // no synchronisation needed).
     std::vector<std::vector<la::ZMatrix>> freq_answers(static_cast<std::size_t>(per_class));
-    std::vector<rom::ParametricAnswer> par_answers(static_cast<std::size_t>(per_class));
+    std::vector<rom::ServeResponse> par_answers(static_cast<std::size_t>(per_class));
 
     {
         std::atomic<int> next{0};
@@ -405,6 +427,7 @@ int main(int argc, char** argv) {
     // ---------------------------------------------------------------------
     bool bits_ok = true;
     rom::ServeEngine serial_engine(registry);
+    serial_engine.host_family(family, popt);
     const auto same = [](const std::vector<la::ZMatrix>& a, const std::vector<la::ZMatrix>& b) {
         if (a.size() != b.size()) return false;
         for (std::size_t g = 0; g < a.size(); ++g) {
@@ -418,7 +441,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < per_class; ++i) {
         bits_ok = bits_ok &&
                   same(freq_answers[static_cast<std::size_t>(i)], do_warm_freq(serial_engine, i));
-        const rom::ParametricAnswer serial = do_warm_parametric(serial_engine, i);
+        const rom::ServeResponse serial = do_warm_parametric(serial_engine, i);
         bits_ok = bits_ok && serial.member == par_answers[static_cast<std::size_t>(i)].member &&
                   same(par_answers[static_cast<std::size_t>(i)].response, serial.response);
     }
@@ -445,9 +468,9 @@ int main(int argc, char** argv) {
         per_class + cold_count;
     const long expected_tr = static_cast<long>(closed_rounds * closed_tr + 2) + transient_count;
     const bool accounting_ok =
-        stats.frequency_queries == expected_freq && stats.frequency_points == expected_points &&
-        stats.parametric_queries == expected_par && stats.parametric_fallbacks == cold_count &&
-        stats.transient_queries == expected_tr &&
+        failed.load() == 0 && stats.frequency_queries == expected_freq &&
+        stats.frequency_points == expected_points && stats.parametric_queries == expected_par &&
+        stats.parametric_fallbacks == cold_count && stats.transient_queries == expected_tr &&
         stats.transient_waveforms == 2 * expected_tr;
     inv.require(accounting_ok, "engine counters match the issued request counts exactly");
     inv.require(stats.solver.max_factor_dim < plant.order(),
@@ -457,11 +480,12 @@ int main(int argc, char** argv) {
                 stats.coalesced_queries, stats.coalesced_batches, stats.deduped_points);
     if (!accounting_ok)
         std::fprintf(stderr,
-                     "counters: freq %ld/%ld points %ld/%ld par %ld/%ld fall %ld/%d tr %ld/%ld\n",
+                     "counters: freq %ld/%ld points %ld/%ld par %ld/%ld fall %ld/%d tr %ld/%ld, "
+                     "%ld typed errors\n",
                      stats.frequency_queries, expected_freq, stats.frequency_points,
                      expected_points, stats.parametric_queries, expected_par,
                      stats.parametric_fallbacks, cold_count, stats.transient_queries,
-                     expected_tr);
+                     expected_tr, failed.load());
 
     // ---------------------------------------------------------------------
     // Phase 4 (--daemon) -- the same mix over loopback, spelled as wire
@@ -517,10 +541,6 @@ int main(int argc, char** argv) {
             return eng;
         };
 
-        std::vector<rom::WaveformSpec> wire_waveforms;
-        for (int s = 0; s < 2; ++s)
-            wire_waveforms.push_back(
-                rom::WaveformSpec::pulse(0.4 + 0.05 * s, 0.5, 1.0, 2.0 + 0.2 * s, 1.5));
         const auto wire_request = [&](Cls cls, int i) {
             rom::ServeRequest req;
             req.tenant = "bench";
@@ -543,7 +563,7 @@ int main(int argc, char** argv) {
                 case Cls::transient: {
                     rom::TransientBatchRequest tb;
                     tb.model = rom::ModelRef::from_spec(model_spec(i % kKeyedModels));
-                    tb.inputs = wire_waveforms;
+                    tb.inputs = waveforms;
                     tb.options = rom::TransientSpec::from_options(topt);
                     req.body = tb;
                     break;
@@ -553,7 +573,7 @@ int main(int argc, char** argv) {
                     pq.family_id = family.family_id;
                     pq.coords = cold_points[static_cast<std::size_t>(i) % cold_points.size()];
                     pq.grid = grids[0];
-                    pq.tol = cold_popt.tol;
+                    pq.tol = cold_tol;
                     req.body = pq;
                     break;
                 }

@@ -17,47 +17,6 @@ BasisBuilder::BasisBuilder(int dim, double deflation_tol) : dim_(dim), tol_(defl
                   "BasisBuilder: tolerance must be in (0,1)");
 }
 
-bool BasisBuilder::add(const Vec& v) {
-    ATMOR_REQUIRE(static_cast<int>(v.size()) == dim_, "BasisBuilder::add: dimension mismatch");
-    const double original = norm2(v);
-    if (original == 0.0 || !std::isfinite(original)) return false;
-
-    Vec w = v;
-    // Two passes of modified Gram-Schmidt ("twice is enough").
-    for (int pass = 0; pass < 2; ++pass) {
-        for (const Vec& q : basis_) {
-            const double h = dot(q, w);
-            if (h != 0.0) axpy(-h, q, w);
-        }
-    }
-    const double residual = norm2(w);
-    if (residual <= tol_ * original) return false;  // deflated
-    scale(1.0 / residual, w);
-    basis_.push_back(std::move(w));
-    return true;
-}
-
-int BasisBuilder::add_columns(const Matrix& m) {
-    ATMOR_REQUIRE(m.rows() == dim_, "BasisBuilder::add_columns: dimension mismatch");
-    int added = 0;
-    for (int j = 0; j < m.cols(); ++j)
-        if (add(m.col(j))) ++added;
-    return added;
-}
-
-int BasisBuilder::add_complex(const ZVec& v) {
-    ATMOR_REQUIRE(static_cast<int>(v.size()) == dim_,
-                  "BasisBuilder::add_complex: dimension mismatch");
-    int added = 0;
-    if (add(real_part(v))) ++added;
-    // Skip a numerically-zero imaginary part: at real expansion points the
-    // solves leave O(eps)-relative imaginary round-off that must not inject
-    // noise directions into the basis.
-    const Vec im = imag_part(v);
-    if (norm2(im) > 1e-8 * (norm2(v) + 1e-300) && add(im)) ++added;
-    return added;
-}
-
 void BasisBuilder::stage(const Vec& v) {
     ATMOR_REQUIRE(static_cast<int>(v.size()) == dim_, "BasisBuilder::stage: dimension mismatch");
     staged_.push_back(v);
@@ -67,7 +26,9 @@ void BasisBuilder::stage_complex(const ZVec& v) {
     ATMOR_REQUIRE(static_cast<int>(v.size()) == dim_,
                   "BasisBuilder::stage_complex: dimension mismatch");
     staged_.push_back(real_part(v));
-    // Same numerically-zero-imaginary rule as add_complex.
+    // Skip a numerically-zero imaginary part: at real expansion points the
+    // solves leave O(eps)-relative imaginary round-off that must not inject
+    // noise directions into the basis.
     Vec im = imag_part(v);
     if (norm2(im) > 1e-8 * (norm2(v) + 1e-300)) staged_.push_back(std::move(im));
 }
@@ -76,13 +37,6 @@ int BasisBuilder::flush() {
     std::vector<Vec> panel = std::move(staged_);
     staged_.clear();
     if (panel.empty()) return 0;
-
-    // Escape hatch: fall back to the eager sequential MGS path.
-    if (simd::scalar_forced()) {
-        int added = 0;
-        for (const Vec& v : panel) added += add(v) ? 1 : 0;
-        return added;
-    }
 
     // Drop zero / non-finite candidates up front, keeping the original norms
     // the deflation rule compares residuals against.

@@ -15,17 +15,14 @@ namespace atmor::la {
 /// Grows an orthonormal set of columns with deflation of near-dependent
 /// directions.
 ///
-/// Two ingestion paths share one deflation rule (reject when the orthogonal
-/// residual falls below deflation_tol * ||candidate||):
-///   * add()/add_columns()/add_complex() -- eager, one vector at a time, by
-///     modified Gram-Schmidt with a single reorthogonalisation pass.
-///   * stage()/stage_complex() + flush() -- panel mode. A flushed panel is
-///     projected against the existing basis by two blocked classical
-///     Gram-Schmidt sweeps (GEMM-shaped on the la/simd kernels), then
-///     orthonormalised within itself by blocked Householder QR, dropping
-///     columns whose R diagonal falls under the deflation threshold. Under
-///     the ATMOR_SCALAR_KERNELS escape hatch flush() degrades to the eager
-///     MGS path.
+/// One ingestion path: stage()/stage_complex() queue candidates and flush()
+/// ingests them as a panel. The panel is projected against the existing
+/// basis by two blocked classical Gram-Schmidt sweeps (GEMM-shaped on the
+/// la/simd kernels), then orthonormalised within itself by blocked
+/// Householder QR. A candidate is rejected when its orthogonal residual (its
+/// R diagonal) falls below deflation_tol * ||candidate||. Under the
+/// ATMOR_SCALAR_KERNELS escape hatch the same path runs on the scalar
+/// kernels.
 class BasisBuilder {
 public:
     /// @param dim ambient dimension
@@ -33,21 +30,12 @@ public:
     ///        residual falls below deflation_tol * ||candidate||.
     explicit BasisBuilder(int dim, double deflation_tol = 1e-10);
 
-    /// Try to add one vector; returns true if it extended the basis.
-    bool add(const Vec& v);
-
-    /// Add every column of m; returns how many survived deflation.
-    int add_columns(const Matrix& m);
-
-    /// Add the real and imaginary parts of a complex vector (used for
-    /// non-real expansion points; the projector must stay real).
-    int add_complex(const ZVec& v);
-
     /// Queue one vector for the next flush().
     void stage(const Vec& v);
 
-    /// Queue the real part and (when not numerically zero, same rule as
-    /// add_complex) the imaginary part for the next flush().
+    /// Queue the real part and, when not numerically zero, the imaginary
+    /// part of a complex vector for the next flush() (non-real expansion
+    /// points; the projector must stay real).
     void stage_complex(const ZVec& v);
 
     /// Orthonormalise every staged vector against the basis and within the

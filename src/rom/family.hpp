@@ -2,8 +2,8 @@
 // parameter box, with the offline certification metadata that makes online
 // member selection a lookup instead of a full-order solve.
 //
-// A Family is what pmor::FamilyBuilder produces and rom::ServeEngine::
-// serve_parametric consumes: the parameter space, the member ROMs with their
+// A Family is what pmor::FamilyBuilder produces and rom::ServeEngine hosts
+// for parametric queries: the parameter space, the member ROMs with their
 // parameter coordinates, and a COVERAGE TABLE over the training grid -- for
 // every training point, which member approximates it best and at what
 // certified (a-posteriori, mor::ErrorEstimator) cross error, plus the

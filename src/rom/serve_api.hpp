@@ -1,15 +1,13 @@
-// The unified serving API: ONE typed request/response vocabulary shared by
-// in-process callers (rom::ServeEngine::serve and its legacy wrappers) and
-// the wire (net::Daemon / net::ServeClient). The redesign this file carries:
-// ServeEngine's four ad-hoc entrypoints each re-threaded a
-// (key, Registry::Builder) pair -- a shape that cannot cross a socket
-// because a builder lambda does not serialize. Here model resolution is a
-// ModelRef (registry key, artifact path, or inline build spec, all
-// daemon-resolvable; the in-process builder survives as a non-wire field so
-// the legacy wrappers stay bit-identical), waveforms are typed WaveformSpec
-// parameter records instead of closures, and every answer is a
-// ServeResponse carrying payload + ErrorCertificate + a typed error with a
-// stable numeric code (util/error_codes.hpp).
+// The serving API: ONE typed request/response vocabulary. In-process callers
+// build the same ServeRequest a net::ServeClient sends and hand it to
+// rom::ServeEngine::serve(); the daemon (net::Daemon) decodes the identical
+// bytes and calls the same entry point. Nothing in a request is in-process
+// only: a model is a ModelRef (registry key, artifact path, or build spec,
+// all resolvable server-side), a family is named by id and published with
+// ServeEngine::host_family, waveforms are typed WaveformSpec parameter
+// records instead of closures, and every answer is a ServeResponse carrying
+// payload + ErrorCertificate + a typed error with a stable numeric code
+// (util/error_codes.hpp).
 //
 // Wire encoding reuses the rom::io Writer/Reader primitives, so doubles are
 // raw 8-byte and a round-trip is BIT-EXACT: a daemon answer is byte-for-byte
@@ -19,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -26,9 +25,7 @@
 #include "la/matrix.hpp"
 #include "ode/transient.hpp"
 #include "pmor/param_space.hpp"
-#include "rom/family.hpp"
-#include "rom/family_artifact.hpp"
-#include "rom/registry.hpp"
+#include "rom/reduced_model.hpp"
 #include "util/error_codes.hpp"
 
 namespace atmor::rom {
@@ -49,15 +46,10 @@ struct ErrorCertificate {
     [[nodiscard]] bool certified() const { return estimated_error > 0.0; }
 };
 
-/// How a parametric query should be answered and what the rejection path is.
+/// The host side of parametric serving: the `defaults` of
+/// ServeEngine::host_family, i.e. the rejection path a hosted family falls
+/// back to. A request's allow_fallback = false disables it per query.
 struct ParametricOptions {
-    /// Certification tolerance; 0 uses the family's own tol.
-    double tol = 0.0;
-    /// Blend the outputs of the cell's best AND runner-up member (inverse-
-    /// distance weights) when both certify; the certificate is then the max
-    /// of the two cross errors (a convex combination of two tol-accurate
-    /// responses stays tol-accurate).
-    bool blend = false;
     /// The rejection path: build a dedicated model for the query point when
     /// no member certifies it (resolved through the registry, so repeated
     /// uncovered queries at one point build once). Without it an uncovered
@@ -70,21 +62,6 @@ struct ParametricOptions {
     /// on-demand builds coalesce with family-member artifacts of the same
     /// accuracy.
     std::function<std::string(const pmor::Point&)> fallback_key;
-};
-
-struct ParametricAnswer {
-    /// Output-mapped H1 over the query grid (blended when `blended_with`
-    /// is set).
-    std::vector<la::ZMatrix> response;
-    /// The per-query accuracy contract: for member-served answers the
-    /// estimated_error is the OFFLINE-CERTIFIED cross error of the covering
-    /// training cell (>= the member's own build certificate); for fallback
-    /// answers it is the freshly built model's provenance certificate.
-    ErrorCertificate certificate;
-    int member = -1;        ///< serving member index (-1 on fallback)
-    int blended_with = -1;  ///< runner-up member blended in (-1: none)
-    double blend_weight = 1.0;  ///< weight of `member` in the blend
-    bool fallback = false;  ///< true when no member certified the query
 };
 
 /// Thrown (and reported as ErrorCode::serve_unresolved) when a ModelRef or
@@ -111,10 +88,9 @@ struct BuildSpec {
     [[nodiscard]] std::string key() const;
 };
 
-/// How a request names its model. Replaces the caller-supplied
-/// Registry::Builder threading of the legacy entrypoints: the three tagged
-/// alternatives all cross the wire; the optional in-process `builder` (set
-/// by ModelRef::in_process, used by the legacy wrappers) never does.
+/// How a request names its model. All three kinds cross the wire; an
+/// in-process caller makes its model resident first (ServeEngine::model or
+/// Registry::get_or_build) and then names it by_key.
 struct ModelRef {
     enum class Kind : std::uint8_t {
         registry_key = 0,   ///< must already be resolvable by the registry
@@ -126,16 +102,10 @@ struct ModelRef {
     std::string key;   ///< registry key (registry_key kind)
     std::string path;  ///< artifact path (artifact_path kind)
     BuildSpec spec;    ///< build recipe (build_spec kind)
-    /// In-process escape hatch carrying the legacy builder lambda. NEVER
-    /// serialized: encode_request rejects a ref that has one (a wire request
-    /// cannot ship code).
-    Registry::Builder builder;
 
     [[nodiscard]] static ModelRef by_key(std::string key);
     [[nodiscard]] static ModelRef from_artifact(std::string path);
     [[nodiscard]] static ModelRef from_spec(BuildSpec spec);
-    /// The legacy (key, Builder) pair as a ModelRef (in-process only).
-    [[nodiscard]] static ModelRef in_process(std::string key, Registry::Builder build);
 
     /// The registry/cache key this ref resolves under (kind-prefixed for the
     /// non-key kinds so distinct reference styles never alias).
@@ -193,8 +163,8 @@ struct WaveformSpec {
 };
 
 /// The serializable subset of ode::TransientOptions (everything but the
-/// caller-supplied backend, which the engine overrides with its own warm
-/// backend anyway -- exactly what the legacy entrypoint always did).
+/// caller-supplied backend, which the engine replaces with the model's own
+/// warm serving backend).
 struct TransientSpec {
     double t_end = 1.0;
     double dt = 1e-3;
@@ -227,33 +197,29 @@ struct FrequencySweepRequest {
     std::vector<la::Complex> grid;
 };
 
-/// Batched transient scenarios against the referenced model. `inputs` is the
-/// wire form; the non-serialized `raw_inputs` (legacy wrapper path) wins
-/// when non-empty, so arbitrary in-process closures keep working.
+/// Batched transient scenarios against the referenced model, one waveform
+/// per entry, answered in input order.
 struct TransientBatchRequest {
     ModelRef model;
     std::vector<WaveformSpec> inputs;
     TransientSpec options;
-    std::vector<ode::InputFn> raw_inputs;  ///< in-process only, never serialized
 };
 
-/// Parametric query against a family. Over the wire the family is named by
-/// `family_id` and resolved server-side (hosted catalog, then the registry's
-/// mmap artifact tier); the non-serialized pointers are the legacy
-/// in-process overloads, and `options` carries the in-process fallback
-/// hooks. Wire requests use the HOST-registered fallback (host_family's
-/// defaults), gated by `allow_fallback`.
+/// Parametric query against a family named by `family_id`, resolved
+/// server-side (hosted catalog, then the registry's mmap artifact tier).
+/// The fallback build is the HOST-registered one (host_family's defaults),
+/// gated by `allow_fallback`.
 struct ParametricQueryRequest {
     std::string family_id;
     pmor::Point coords;
     std::vector<la::Complex> grid;
-    double tol = 0.0;            ///< 0 = family tolerance
+    double tol = 0.0;            ///< certification tol; 0 = the family's own tol
+    /// Blend the outputs of the cell's best AND runner-up member (inverse-
+    /// distance weights) when both certify; the certificate is then the max
+    /// of the two cross errors (a convex combination of two tol-accurate
+    /// responses stays tol-accurate).
     bool blend = false;
-    bool allow_fallback = true;  ///< false strips the server-side fallback build
-    // -- In-process only (never serialized). --------------------------------
-    const Family* family = nullptr;
-    const FamilyArtifact* artifact = nullptr;
-    ParametricOptions options;
+    bool allow_fallback = true;  ///< false disables the host's fallback build
 };
 
 /// The certified error bound of the referenced model.
@@ -264,7 +230,7 @@ struct CertificateRequest {
 /// Many parameter points against ONE family in one round trip -- the
 /// Monte-Carlo process-variation shape, where a yield sweep asks for
 /// hundreds of perturbed instances of the same design. The family resolves
-/// ONCE (hosted catalog / artifact mmap / in-process pointer) and every
+/// ONCE (hosted catalog / artifact mmap) and every
 /// point routes through the shared coverage table, so per-point cost is the
 /// member sweep alone. The response concatenates per-point sweeps in
 /// request order (point p's grid occupies response[p*grid.size() ..]) and
@@ -274,17 +240,13 @@ struct ParametricBatchRequest {
     std::string family_id;
     std::vector<pmor::Point> coords;
     std::vector<la::Complex> grid;
-    double tol = 0.0;            ///< 0 = family tolerance
-    bool blend = false;
-    bool allow_fallback = true;  ///< false strips the server-side fallback build
-    // -- In-process only (never serialized). --------------------------------
-    const Family* family = nullptr;
-    const FamilyArtifact* artifact = nullptr;
-    ParametricOptions options;
+    double tol = 0.0;            ///< certification tol; 0 = the family's own tol
+    bool blend = false;          ///< as in ParametricQueryRequest
+    bool allow_fallback = true;  ///< false disables the host's fallback build
 };
 
-/// The tagged request variant: one vocabulary for every serving entrypoint,
-/// in-process and on the wire.
+/// The tagged request variant: one vocabulary for every request, in-process
+/// and on the wire.
 struct ServeRequest {
     /// Admission-control identity (net::Daemon token buckets); empty is the
     /// anonymous tenant.
@@ -309,9 +271,9 @@ struct ServeError {
 
 /// The uniform answer: payload fields for the request's kind, the model's
 /// ErrorCertificate, and a typed error (code != ok means the payload fields
-/// are empty/default). Transients keep the rich ode::TransientResult so the
-/// legacy wrapper returns it unchanged; encode_response serializes the
-/// deterministic fields and zeroes the wall-time ones.
+/// are empty/default). Transients keep the rich ode::TransientResult;
+/// encode_response serializes the deterministic fields and zeroes the
+/// wall-time ones.
 struct ServeResponse {
     RequestKind kind = RequestKind::frequency_sweep;
     ServeError error;
@@ -320,11 +282,15 @@ struct ServeResponse {
     std::vector<la::ZMatrix> response;
     // -- transient_batch payload. --------------------------------------------
     std::vector<ode::TransientResult> transients;
-    // -- parametric_query routing record. ------------------------------------
-    int member = -1;
-    int blended_with = -1;
-    double blend_weight = 1.0;
-    bool fallback = false;
+    // -- parametric_query routing record. For member-served answers the
+    //    certificate's estimated_error is the OFFLINE-CERTIFIED cross error
+    //    of the covering training cell (>= the member's own build
+    //    certificate); for fallback answers it is the freshly built model's
+    //    provenance certificate. -------------------------------------------
+    int member = -1;            ///< serving member index (-1 on fallback)
+    int blended_with = -1;      ///< runner-up member blended in (-1: none)
+    double blend_weight = 1.0;  ///< weight of `member` in the blend
+    bool fallback = false;      ///< true when no member certified the query
     // -- parametric_batch per-point routing record (parallel arrays, one
     //    entry per requested point; batch_error[p] is point p's certified
     //    estimated error). ----------------------------------------------------
@@ -343,8 +309,7 @@ struct ServeResponse {
 
 /// Serialize a request. The tenant is encoded FIRST so peek_tenant can read
 /// it without decoding the body (admission control runs before any payload
-/// work). Throws PreconditionError when the request carries in-process-only
-/// state (a builder lambda, raw input closures, family pointers).
+/// work).
 std::string encode_request(const ServeRequest& req);
 ServeRequest decode_request(const std::string& payload);
 

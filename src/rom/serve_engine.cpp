@@ -120,6 +120,15 @@ void ServeEngine::bound_shard_locked(Shard& shard, const std::string& keep_key) 
     }
 }
 
+std::shared_ptr<ServeEngine::ModelState> ServeEngine::resident_state(const std::string& key) {
+    Shard& shard = shard_for(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.states.find(key);
+    if (it == shard.states.end()) return nullptr;
+    it->second->last_used = state_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+    return it->second;
+}
+
 std::shared_ptr<ServeEngine::ModelState> ServeEngine::state_for(const std::string& key,
                                                                 const Registry::Builder& build) {
     // Resolve through the registry OUTSIDE every engine lock: a cold build
@@ -161,17 +170,10 @@ std::shared_ptr<ServeEngine::ModelState> ServeEngine::member_state(const std::st
                                                                    const FamilyMember& fm) {
     const std::string key = "family:" + family_id + "#" + std::to_string(member) + ":" +
                             std::to_string(fm.model.provenance.basis_hash);
-    Shard& shard = shard_for(key);
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.states.find(key);
-        if (it != shard.states.end()) {
-            it->second->last_used = state_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-            return it->second;
-        }
-    }
+    if (std::shared_ptr<ModelState> st = resident_state(key)) return st;
     std::shared_ptr<ModelState> fresh =
         make_state(std::make_shared<const ReducedModel>(fm.model));
+    Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     std::shared_ptr<ModelState>& st = shard.states[key];
     if (!st) st = std::move(fresh);
@@ -287,220 +289,52 @@ std::vector<la::ZMatrix> ServeEngine::coalesced_sweep(ModelState& st,
     return own;
 }
 
-// ---------------------------------------------------------------------------
-// Legacy entrypoints: thin wrappers over the unified dispatch. Each builds
-// the ServeRequest its signature always described and rethrows whatever
-// dispatch throws, so the pre-redesign pins (answers, exception types and
-// messages, counter accounting) hold bit-identical.
-// ---------------------------------------------------------------------------
-
-ErrorCertificate ServeEngine::certificate(const std::string& key,
-                                          const Registry::Builder& build) {
-    ServeRequest req;
-    req.body = CertificateRequest{ModelRef::in_process(key, build)};
-    return dispatch(req).certificate;
-}
-
-std::vector<la::ZMatrix> ServeEngine::frequency_response(const std::string& key,
-                                                         const Registry::Builder& build,
-                                                         const std::vector<la::Complex>& grid) {
-    ServeRequest req;
-    req.body = FrequencySweepRequest{ModelRef::in_process(key, build), grid};
-    return std::move(dispatch(req).response);
-}
-
-struct ServeEngine::FamilyView {
-    const std::string& family_id;
-    const pmor::ParamSpace& space;
-    double tol = 0.0;
-    const std::vector<CoverageCell>& cells;
-    int member_count = 0;
-    /// Materialize (or alias) member `i`; the lazy artifact path decodes the
-    /// member's sections here, so the core calls it only for members a query
-    /// actually serves.
-    std::function<std::shared_ptr<const FamilyMember>(int)> member;
-
-    [[nodiscard]] int locate(const pmor::Point& coords) const {
-        int best = -1;
-        double best_dist = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const double d = space.distance(coords, cells[i].coords);
-            if (d < best_dist) {
-                best_dist = d;
-                best = static_cast<int>(i);
-            }
-        }
-        return best;
-    }
-};
-
-namespace {
-
-/// The wrapper-shared ParametricQueryRequest shape (in-process pointer form).
-ServeRequest make_parametric_request(const std::string& family_id, const pmor::Point& coords,
-                                     const std::vector<la::Complex>& grid,
-                                     const ParametricOptions& opt) {
-    ServeRequest req;
-    ParametricQueryRequest body;
-    body.family_id = family_id;
-    body.coords = coords;
-    body.grid = grid;
-    body.tol = opt.tol;
-    body.blend = opt.blend;
-    body.options = opt;
-    req.body = std::move(body);
-    return req;
-}
-
-ParametricAnswer to_parametric_answer(ServeResponse&& resp) {
-    ParametricAnswer ans;
-    ans.response = std::move(resp.response);
-    ans.certificate = std::move(resp.certificate);
-    ans.member = resp.member;
-    ans.blended_with = resp.blended_with;
-    ans.blend_weight = resp.blend_weight;
-    ans.fallback = resp.fallback;
-    return ans;
-}
-
-}  // namespace
-
-ParametricAnswer ServeEngine::serve_parametric(const Family& family, const pmor::Point& coords,
-                                               const std::vector<la::Complex>& grid,
-                                               const ParametricOptions& opt) {
-    ServeRequest req = make_parametric_request(family.family_id, coords, grid, opt);
-    std::get<ParametricQueryRequest>(req.body).family = &family;
-    return to_parametric_answer(dispatch(req));
-}
-
-ParametricAnswer ServeEngine::serve_parametric(const FamilyArtifact& family,
-                                               const pmor::Point& coords,
-                                               const std::vector<la::Complex>& grid,
-                                               const ParametricOptions& opt) {
-    ServeRequest req = make_parametric_request(family.family_id(), coords, grid, opt);
-    std::get<ParametricQueryRequest>(req.body).artifact = &family;
-    return to_parametric_answer(dispatch(req));
-}
-
-namespace {
-
-ServeRequest make_batch_request(const std::string& family_id,
-                                const std::vector<pmor::Point>& coords,
-                                const std::vector<la::Complex>& grid,
-                                const ParametricOptions& opt) {
-    ServeRequest req;
-    ParametricBatchRequest body;
-    body.family_id = family_id;
-    body.coords = coords;
-    body.grid = grid;
-    body.tol = opt.tol;
-    body.blend = opt.blend;
-    body.options = opt;
-    req.body = std::move(body);
-    return req;
-}
-
-}  // namespace
-
-ServeResponse ServeEngine::serve_parametric_batch(const Family& family,
-                                                  const std::vector<pmor::Point>& coords,
-                                                  const std::vector<la::Complex>& grid,
-                                                  const ParametricOptions& opt) {
-    ServeRequest req = make_batch_request(family.family_id, coords, grid, opt);
-    std::get<ParametricBatchRequest>(req.body).family = &family;
-    return dispatch(req);
-}
-
-ServeResponse ServeEngine::serve_parametric_batch(const FamilyArtifact& family,
-                                                  const std::vector<pmor::Point>& coords,
-                                                  const std::vector<la::Complex>& grid,
-                                                  const ParametricOptions& opt) {
-    ServeRequest req = make_batch_request(family.family_id(), coords, grid, opt);
-    std::get<ParametricBatchRequest>(req.body).artifact = &family;
-    return dispatch(req);
-}
-
-void ServeEngine::with_family_view(const Family* family, const FamilyArtifact* artifact,
-                                   const std::string& family_id, bool allow_fallback,
-                                   ParametricOptions& eff,
-                                   const std::function<void(const FamilyView&)>& fn) {
-    if (family != nullptr) {
-        const FamilyView view{
-            family->family_id, family->space, family->tol, family->cells,
-            static_cast<int>(family->members.size()),
-            [family](int i) {
-                // Non-owning alias: the family outlives the query by
-                // contract.
-                return std::shared_ptr<const FamilyMember>(
-                    std::shared_ptr<const FamilyMember>{},
-                    &family->members[static_cast<std::size_t>(i)]);
-            }};
-        fn(view);
-    } else if (artifact != nullptr) {
-        const FamilyView view{artifact->family_id(), artifact->space(),
-                              artifact->tol(),       artifact->cells(),
-                              artifact->member_count(),
-                              [artifact](int i) { return artifact->member(i); }};
-        fn(view);
-    } else {
-        // Wire form: the family is named by id. Hosted defaults supply what
-        // a socket cannot carry -- the fallback hooks and a default
-        // tolerance.
-        HostedFamily hf = hosted_family(family_id);
-        if (!eff.fallback_build) eff.fallback_build = hf.defaults.fallback_build;
-        if (!eff.fallback_key) eff.fallback_key = hf.defaults.fallback_key;
-        if (eff.tol <= 0.0) eff.tol = hf.defaults.tol;
-        if (!allow_fallback) eff.fallback_build = nullptr;
-        const FamilyArtifact& fam = hf.artifact;
-        const FamilyView view{fam.family_id(), fam.space(),        fam.tol(), fam.cells(),
-                              fam.member_count(),
-                              [&fam](int i) { return fam.member(i); }};
-        fn(view);
-    }
-}
-
-ParametricAnswer ServeEngine::serve_parametric_impl(const FamilyView& view,
-                                                    const pmor::Point& coords,
-                                                    const std::vector<la::Complex>& grid,
-                                                    const ParametricOptions& opt) {
-    ATMOR_REQUIRE(!grid.empty(), "ServeEngine::serve_parametric: empty frequency grid");
-    ATMOR_REQUIRE(view.member_count > 0, "ServeEngine::serve_parametric: family is empty");
-    view.space.require_inside(coords, "ServeEngine::serve_parametric");
-    const double tol = opt.tol > 0.0 ? opt.tol : view.tol;
-    ATMOR_REQUIRE(tol > 0.0, "ServeEngine::serve_parametric: no tolerance (family tol is 0)");
+ServeResponse ServeEngine::serve_point(const HostedFamily& hf, const pmor::Point& coords,
+                                       const std::vector<la::Complex>& grid, double request_tol,
+                                       bool blend, bool allow_fallback) {
+    const FamilyArtifact& family = hf.artifact;
+    const ParametricOptions& host = hf.defaults;
+    ATMOR_REQUIRE(!grid.empty(), "ServeEngine::parametric_query: empty frequency grid");
+    const int member_count = family.member_count();
+    ATMOR_REQUIRE(member_count > 0, "ServeEngine::parametric_query: family is empty");
+    const pmor::ParamSpace& space = family.space();
+    space.require_inside(coords, "ServeEngine::parametric_query");
+    const double tol = request_tol > 0.0 ? request_tol : family.tol();
+    ATMOR_REQUIRE(tol > 0.0, "ServeEngine::parametric_query: no tolerance (family tol is 0)");
     util::Timer timer;
-    ParametricAnswer ans;
+    ServeResponse ans;
+    ans.kind = RequestKind::parametric_query;
 
-    const int cell_index = view.locate(coords);
+    const int cell_index = family.locate(coords);
     const CoverageCell* cell =
-        cell_index >= 0 ? &view.cells[static_cast<std::size_t>(cell_index)] : nullptr;
+        cell_index >= 0 ? &family.cells()[static_cast<std::size_t>(cell_index)] : nullptr;
     // Families are public aggregates ("assemble by hand" is supported), so
     // the coverage table's member references are validated here like
     // load_family validates them -- a typed error, never an OOB read.
     if (cell)
-        ATMOR_REQUIRE(cell->best >= -1 && cell->best < view.member_count &&
-                          cell->second >= -1 && cell->second < view.member_count,
-                      "ServeEngine::serve_parametric: coverage cell ["
-                          << view.space.key(cell->coords) << "] references a missing member");
+        ATMOR_REQUIRE(cell->best >= -1 && cell->best < member_count && cell->second >= -1 &&
+                          cell->second < member_count,
+                      "ServeEngine::parametric_query: coverage cell ["
+                          << space.key(cell->coords) << "] references a missing member");
 
     bool blended = false;
     if (cell && cell->best >= 0 && cell->best_error <= tol) {
         // -- Certified member path. ----------------------------------------
         ans.member = cell->best;
-        const std::shared_ptr<const FamilyMember> best = view.member(cell->best);
+        const std::shared_ptr<const FamilyMember> best = family.member(cell->best);
         ans.response =
-            coalesced_sweep(*member_state(view.family_id, cell->best, *best), grid);
+            coalesced_sweep(*member_state(family.family_id(), cell->best, *best), grid);
         double certified_error = cell->best_error;
 
-        if (opt.blend && cell->second >= 0 && cell->second_error <= tol) {
-            const std::shared_ptr<const FamilyMember> second = view.member(cell->second);
-            const double d_best = view.space.distance(coords, best->coords);
-            const double d_second = view.space.distance(coords, second->coords);
+        if (blend && cell->second >= 0 && cell->second_error <= tol) {
+            const std::shared_ptr<const FamilyMember> second = family.member(cell->second);
+            const double d_best = space.distance(coords, best->coords);
+            const double d_second = space.distance(coords, second->coords);
             const double w =
                 d_best + d_second <= 0.0 ? 1.0 : d_second / (d_best + d_second);
             if (w < 1.0) {
                 const std::vector<la::ZMatrix> other = coalesced_sweep(
-                    *member_state(view.family_id, cell->second, *second), grid);
+                    *member_state(family.family_id(), cell->second, *second), grid);
                 for (std::size_t g = 0; g < ans.response.size(); ++g) {
                     ans.response[g] *= la::Complex(w, 0.0);
                     ans.response[g] += la::Complex(1.0 - w, 0.0) * other[g];
@@ -520,21 +354,22 @@ ParametricAnswer ServeEngine::serve_parametric_impl(const FamilyView& view,
         ans.certificate.estimated_error = certified_error;
     } else {
         // -- Rejection path: no member certifies under tol. ----------------
-        ATMOR_REQUIRE(static_cast<bool>(opt.fallback_build),
-                      "ServeEngine::serve_parametric: no family member certifies point ["
-                          << view.space.key(coords) << "] under tol " << tol
-                          << " and no fallback_build was provided");
+        ATMOR_REQUIRE(allow_fallback && host.fallback_build,
+                      "ServeEngine::parametric_query: no family member certifies point ["
+                          << space.key(coords) << "] under tol " << tol
+                          << (allow_fallback ? " and the host registered no fallback_build"
+                                             : " and the request disallows the fallback"));
         // The default key is tolerance-tagged: a later query at the same
         // point demanding a TIGHTER accuracy must not silently reuse a
         // looser cached fallback model.
         const std::string key =
-            opt.fallback_key ? opt.fallback_key(coords)
-                             : "family:" + view.family_id + "@" + view.space.key(coords) +
+            host.fallback_key ? host.fallback_key(coords)
+                             : "family:" + family.family_id() + "@" + space.key(coords) +
                                    "|fallback(tol=" + util::key_num(tol) + ")";
         // state_for runs the build through the registry outside every engine
         // lock, so a slow fallback never blocks warm member serves.
         const std::shared_ptr<ModelState> st =
-            state_for(key, [&] { return opt.fallback_build(coords); });
+            state_for(key, [&] { return host.fallback_build(coords); });
         ans.fallback = true;
         ans.response = coalesced_sweep(*st, grid);
         ans.certificate = certificate_of(*st->model);
@@ -550,21 +385,7 @@ ParametricAnswer ServeEngine::serve_parametric_impl(const FamilyView& view,
     return ans;
 }
 
-std::vector<ode::TransientResult> ServeEngine::transient_batch(
-    const std::string& key, const Registry::Builder& build,
-    const std::vector<ode::InputFn>& inputs, const ode::TransientOptions& opt) {
-    ServeRequest req;
-    TransientBatchRequest body;
-    body.model = ModelRef::in_process(key, build);
-    body.raw_inputs = inputs;
-    // The spec round-trip loses only opt.backend, which this entrypoint
-    // always overrode with the model's serving backend anyway.
-    body.options = TransientSpec::from_options(opt);
-    req.body = std::move(body);
-    return std::move(dispatch(req).transients);
-}
-
-std::vector<ode::TransientResult> ServeEngine::run_transient_batch(
+std::vector<ode::TransientResult> ServeEngine::run_transients(
     ModelState& stref, const std::vector<ode::InputFn>& inputs,
     const ode::TransientOptions& opt) {
     ModelState* st = &stref;
@@ -606,22 +427,29 @@ std::vector<ode::TransientResult> ServeEngine::run_transient_batch(
 }
 
 // ---------------------------------------------------------------------------
-// Unified dispatch (the api_redesign core).
+// Dispatch.
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<ServeEngine::ModelState> ServeEngine::resolve(const ModelRef& ref) {
     switch (ref.kind) {
         case ModelRef::Kind::registry_key: {
-            if (ref.builder) return state_for(ref.key, ref.builder);
-            // No builder: resolvable only from the registry's memory/disk
-            // tiers. The probe builder turns a full miss into a typed
-            // UnresolvedError instead of a silent rebuild of nothing.
+            // Resolvable only from the registry's memory/disk tiers or the
+            // engine's resident state. The probe builder turns a registry
+            // miss into a typed UnresolvedError instead of a rebuild of
+            // nothing; a model the registry evicted but this engine still
+            // holds then serves from its resident state, factorisation
+            // caches included.
             const std::string& key = ref.key;
-            return state_for(key, [&key]() -> ReducedModel {
-                throw UnresolvedError("ServeEngine: registry key '" + key +
-                                      "' resolves to no cached model or artifact and the "
-                                      "request carries no build recipe");
-            });
+            try {
+                return state_for(key, [&key]() -> ReducedModel {
+                    throw UnresolvedError("ServeEngine: registry key '" + key +
+                                          "' resolves to no cached model or artifact and "
+                                          "the request carries no build recipe");
+                });
+            } catch (const UnresolvedError&) {
+                if (std::shared_ptr<ModelState> st = resident_state(key)) return st;
+                throw;
+            }
         }
         case ModelRef::Kind::artifact_path: {
             // Cached under "artifact:<path>" so repeated wire queries load
@@ -698,7 +526,7 @@ ServeResponse ServeEngine::dispatch(const ServeRequest& req) {
         case RequestKind::frequency_sweep: {
             const auto& body = std::get<FrequencySweepRequest>(req.body);
             ATMOR_REQUIRE(!body.grid.empty(),
-                          "ServeEngine::frequency_response: empty frequency grid");
+                          "ServeEngine::frequency_sweep: empty frequency grid");
             const std::shared_ptr<ModelState> st = resolve(body.model);
             util::Timer timer;
             resp.response = coalesced_sweep(*st, body.grid);
@@ -708,70 +536,48 @@ ServeResponse ServeEngine::dispatch(const ServeRequest& req) {
         }
         case RequestKind::transient_batch: {
             const auto& body = std::get<TransientBatchRequest>(req.body);
-            // raw_inputs (the in-process closure path) wins; wire requests
-            // carry WaveformSpecs and instantiate here.
-            std::vector<ode::InputFn> inputs = body.raw_inputs;
-            if (inputs.empty()) {
-                inputs.reserve(body.inputs.size());
-                for (const WaveformSpec& spec : body.inputs)
-                    inputs.push_back(spec.instantiate());
-            }
-            ATMOR_REQUIRE(!inputs.empty(),
+            ATMOR_REQUIRE(!body.inputs.empty(),
                           "ServeEngine::transient_batch: empty waveform batch");
+            std::vector<ode::InputFn> inputs;
+            inputs.reserve(body.inputs.size());
+            for (const WaveformSpec& spec : body.inputs) inputs.push_back(spec.instantiate());
             const std::shared_ptr<ModelState> st = resolve(body.model);
-            resp.transients = run_transient_batch(*st, inputs, body.options.to_options());
+            resp.transients = run_transients(*st, inputs, body.options.to_options());
             resp.certificate = certificate_of(*st->model);
             break;
         }
         case RequestKind::parametric_query: {
             const auto& body = std::get<ParametricQueryRequest>(req.body);
-            ParametricOptions eff = body.options;
-            eff.tol = body.tol;
-            eff.blend = body.blend;
-            ParametricAnswer ans;
-            with_family_view(body.family, body.artifact, body.family_id, body.allow_fallback,
-                             eff, [&](const FamilyView& view) {
-                                 ans = serve_parametric_impl(view, body.coords, body.grid, eff);
-                             });
-            resp.response = std::move(ans.response);
-            resp.certificate = std::move(ans.certificate);
-            resp.member = ans.member;
-            resp.blended_with = ans.blended_with;
-            resp.blend_weight = ans.blend_weight;
-            resp.fallback = ans.fallback;
+            const HostedFamily hf = hosted_family(body.family_id);
+            resp = serve_point(hf, body.coords, body.grid, body.tol, body.blend,
+                               body.allow_fallback);
             break;
         }
         case RequestKind::parametric_batch: {
             const auto& body = std::get<ParametricBatchRequest>(req.body);
             ATMOR_REQUIRE(!body.coords.empty(),
                           "ServeEngine::parametric_batch: empty point batch");
-            ParametricOptions eff = body.options;
-            eff.tol = body.tol;
-            eff.blend = body.blend;
-            with_family_view(
-                body.family, body.artifact, body.family_id, body.allow_fallback, eff,
-                [&](const FamilyView& view) {
-                    resp.response.reserve(body.coords.size() * body.grid.size());
-                    resp.batch_member.reserve(body.coords.size());
-                    resp.batch_error.reserve(body.coords.size());
-                    resp.batch_fallback.reserve(body.coords.size());
-                    double worst = -1.0;
-                    for (const pmor::Point& p : body.coords) {
-                        ParametricAnswer ans = serve_parametric_impl(view, p, body.grid, eff);
-                        for (la::ZMatrix& m : ans.response)
-                            resp.response.push_back(std::move(m));
-                        resp.batch_member.push_back(ans.member);
-                        resp.batch_error.push_back(ans.certificate.estimated_error);
-                        resp.batch_fallback.push_back(ans.fallback ? 1 : 0);
-                        // The batch certificate is the WORST point's: a
-                        // client checking one certificate against tol gets
-                        // the conservative answer for the whole batch.
-                        if (ans.certificate.estimated_error > worst) {
-                            worst = ans.certificate.estimated_error;
-                            resp.certificate = std::move(ans.certificate);
-                        }
-                    }
-                });
+            const HostedFamily hf = hosted_family(body.family_id);
+            resp.response.reserve(body.coords.size() * body.grid.size());
+            resp.batch_member.reserve(body.coords.size());
+            resp.batch_error.reserve(body.coords.size());
+            resp.batch_fallback.reserve(body.coords.size());
+            double worst = -1.0;
+            for (const pmor::Point& p : body.coords) {
+                ServeResponse ans = serve_point(hf, p, body.grid, body.tol, body.blend,
+                                                body.allow_fallback);
+                for (la::ZMatrix& m : ans.response) resp.response.push_back(std::move(m));
+                resp.batch_member.push_back(ans.member);
+                resp.batch_error.push_back(ans.certificate.estimated_error);
+                resp.batch_fallback.push_back(ans.fallback ? 1 : 0);
+                // The batch certificate is the WORST point's: a client
+                // checking one certificate against tol gets the
+                // conservative answer for the whole batch.
+                if (ans.certificate.estimated_error > worst) {
+                    worst = ans.certificate.estimated_error;
+                    resp.certificate = std::move(ans.certificate);
+                }
+            }
             break;
         }
         case RequestKind::certificate: {

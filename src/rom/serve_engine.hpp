@@ -1,6 +1,8 @@
 // The online half of the offline/online split: batched queries against
 // registry-resident reduced models, built to be hit from a POOL of request
-// handler threads at once.
+// handler threads at once. serve(ServeRequest) is the one entry point, for
+// in-process callers and for net::Daemon alike (rom/serve_api.hpp holds the
+// request vocabulary).
 //
 // A query never touches the full-order system. Frequency-response sweeps fan
 // out across grid points on the global work-stealing ThreadPool through a
@@ -46,6 +48,7 @@
 #include "la/solver_backend.hpp"
 #include "ode/transient.hpp"
 #include "rom/family.hpp"
+#include "rom/family_artifact.hpp"
 #include "rom/registry.hpp"
 #include "rom/serve_api.hpp"
 #include "volterra/transfer.hpp"
@@ -58,7 +61,7 @@ struct ServeStats {
     long transient_queries = 0;   ///< batch queries answered
     long transient_waveforms = 0; ///< waveforms integrated across them
     long certificate_queries = 0; ///< error-bound lookups answered
-    long parametric_queries = 0;  ///< serve_parametric calls answered
+    long parametric_queries = 0;  ///< parametric points answered (a batch counts each)
     long parametric_fallbacks = 0; ///< routed to the on-demand build path
     long parametric_blended = 0;  ///< answered by a two-member blend
     // -- Cross-request coalescing. Every request is still accounted above
@@ -104,93 +107,46 @@ public:
 
     explicit ServeEngine(std::shared_ptr<Registry> registry, ServeOptions opt = {});
 
-    /// THE serving entrypoint: dispatch a typed ServeRequest (the same type
+    /// THE serving entry point: dispatch a typed ServeRequest (the same type
     /// that crosses the wire) and return a ServeResponse that is NEVER a
     /// thrown exception -- failures come back as the typed error taxonomy of
     /// util/error_codes.hpp (UnresolvedError -> serve_unresolved, IoError by
     /// kind, PreconditionError -> precondition, anything else -> internal),
-    /// so the daemon and in-process callers observe identical outcomes. The
-    /// four legacy entrypoints below are thin wrappers over the same
-    /// dispatch (they rethrow instead of wrapping), so their pins hold the
-    /// redesign bit-identical.
+    /// so the daemon and in-process callers observe identical outcomes.
+    ///
+    /// Per kind: a frequency sweep answers the output-mapped H1(grid[p]) of
+    /// the reduced model in grid order (exactly TransferEvaluator::
+    /// output_h1_sweep -- coalescing with concurrent requests never changes
+    /// the bits); a transient batch shares the model's warm Newton
+    /// factorisation per (step size, method); a certificate request returns
+    /// the build-time accuracy contract. A parametric query locates its
+    /// training cell in the hosted family and serves the certifying member
+    /// (optionally blended with the runner-up) with the cell's offline-
+    /// certified error, or routes to the host's fallback build when no member
+    /// certifies under tolerance; members of an mmap-backed family
+    /// materialize only when a query routes to them. A parametric batch
+    /// routes every point exactly like a single query (pinned by
+    /// test_scenarios). Empty grids, batches and families are typed
+    /// precondition errors.
     [[nodiscard]] ServeResponse serve(const ServeRequest& req);
 
     /// Register the BuildSpec catalog. Thread-safe; replaces any previous
     /// resolver (requests in flight keep the one they started with).
     void set_spec_resolver(SpecResolver resolver);
 
-    /// Host a family for wire parametric queries that name it by family_id:
-    /// the hosted catalog is probed before the registry's family-artifact
-    /// tier. `defaults` supplies the server-side fallback hooks (and default
-    /// tolerance) applied to wire requests, which cannot carry closures.
+    /// Host a family for parametric requests that name it by family_id: the
+    /// hosted catalog is probed before the registry's family-artifact tier.
+    /// `defaults` supplies the fallback hooks, which a request cannot carry
+    /// (it can only disable them with allow_fallback = false). Re-hosting an
+    /// id replaces its entry.
     void host_family(Family family, ParametricOptions defaults = {});
     void host_family(FamilyArtifact family, ParametricOptions defaults = {});
 
     /// Resolve a model through the registry (memory / disk / single-flight
-    /// build). The returned handle stays valid independent of eviction.
+    /// build) and make it resident in the engine, so requests can name it
+    /// by_key. The returned handle stays valid independent of eviction.
     [[nodiscard]] std::shared_ptr<const ReducedModel> model(const std::string& key,
                                                             const Registry::Builder& build);
-
-    /// Batched frequency response: the output-mapped H1(grid[p]) of the
-    /// reduced model, in grid order (exactly TransferEvaluator::
-    /// output_h1_sweep of the ROM -- coalescing with concurrent requests
-    /// never changes the bits). Fans out across grid points.
-    [[nodiscard]] std::vector<la::ZMatrix> frequency_response(
-        const std::string& key, const Registry::Builder& build,
-        const std::vector<la::Complex>& grid);
-
-    /// The certified error bound for the model behind `key` (resolving it
-    /// like any other query): clients pair this with any
-    /// frequency_response / transient_batch answer to know the accuracy
-    /// contract the reduction was built under.
-    [[nodiscard]] ErrorCertificate certificate(const std::string& key,
-                                               const Registry::Builder& build);
-
-    /// Batched transient queries: one waveform per entry, in input order,
-    /// all sharing the model's warm Newton factorisation (stamped on first
-    /// use for the given step size/method, replayed afterwards). An empty
-    /// batch is a typed PreconditionError, never a silent no-op.
-    [[nodiscard]] std::vector<ode::TransientResult> transient_batch(
-        const std::string& key, const Registry::Builder& build,
-        const std::vector<ode::InputFn>& inputs, const ode::TransientOptions& opt);
-
-    /// Parametric serving against a rom::Family: locate the query's training
-    /// cell, serve the certifying member's frequency response (optionally
-    /// blended with the runner-up) with the cell's offline-certified error
-    /// as the per-query certificate, or route to the fallback build when no
-    /// member certifies under tolerance. Member evaluators are cached like
-    /// keyed models, so repeated queries replay factorisations; member
-    /// sweeps coalesce with concurrent requests against the same member.
-    [[nodiscard]] ParametricAnswer serve_parametric(const Family& family,
-                                                    const pmor::Point& coords,
-                                                    const std::vector<la::Complex>& grid,
-                                                    const ParametricOptions& opt = {});
-
-    /// Parametric serving straight off a (possibly mmap-backed) family
-    /// artifact: identical routing, certificates and answers as the Family
-    /// overload -- both run the same core -- but members materialize only
-    /// when a query actually routes to them, so serving one point against a
-    /// lazy artifact touches O(1) members, not the whole file.
-    [[nodiscard]] ParametricAnswer serve_parametric(const FamilyArtifact& family,
-                                                    const pmor::Point& coords,
-                                                    const std::vector<la::Complex>& grid,
-                                                    const ParametricOptions& opt = {});
-
-    /// Batched parametric serving (the Monte-Carlo process-variation shape):
-    /// every point of `coords` against one family in one call, resolving the
-    /// family once and routing each point through the shared coverage table.
-    /// Answers land in ServeResponse batch form -- concatenated per-point
-    /// sweeps plus the batch_member/batch_error/batch_fallback parallel
-    /// arrays, certificate = the worst point's. Per-point routing is
-    /// IDENTICAL to looping serve_parametric (pinned by test_scenarios).
-    [[nodiscard]] ServeResponse serve_parametric_batch(const Family& family,
-                                                       const std::vector<pmor::Point>& coords,
-                                                       const std::vector<la::Complex>& grid,
-                                                       const ParametricOptions& opt = {});
-    [[nodiscard]] ServeResponse serve_parametric_batch(const FamilyArtifact& family,
-                                                       const std::vector<pmor::Point>& coords,
-                                                       const std::vector<la::Complex>& grid,
-                                                       const ParametricOptions& opt = {});
 
     /// Per-field consistent snapshot: every counter is one relaxed atomic
     /// load (never torn, monotonic across calls); the solver block
@@ -290,24 +246,24 @@ private:
     [[nodiscard]] std::shared_ptr<ModelState> state_for(const std::string& key,
                                                         const Registry::Builder& build);
 
-    /// THE model-resolution path: every entrypoint (serve() and all legacy
-    /// wrappers) funnels its ModelRef through here, replacing the four
-    /// per-entrypoint (key, Builder) threads. registry_key refs resolve
-    /// through state_for (with the in-process builder when the ref carries
-    /// one, else a probe that throws UnresolvedError on a full miss);
+    /// The resident state for `key` (LRU-touched), or null.
+    [[nodiscard]] std::shared_ptr<ModelState> resident_state(const std::string& key);
+
+    /// THE model-resolution path. registry_key refs resolve through
+    /// state_for with a probe that throws UnresolvedError on a registry
+    /// miss, then from the engine's resident state (a model the registry
+    /// evicted); a miss in both places is UnresolvedError.
     /// artifact_path refs load-and-cache under "artifact:<path>"; build_spec
     /// refs run the registered SpecResolver under the spec's stable key.
     [[nodiscard]] std::shared_ptr<ModelState> resolve(const ModelRef& ref);
 
     /// Throwing core behind serve(): dispatch on the request kind, fill the
-    /// response payload, and keep the per-kind counter accounting EXACTLY
-    /// where the legacy entrypoints had it (the wrappers call this, so no
-    /// query is ever double-counted).
+    /// response payload, and keep the per-kind counter accounting.
     [[nodiscard]] ServeResponse dispatch(const ServeRequest& req);
 
     /// The transient serving core (warm-start lookup + batch run + counter
     /// accounting) against an already-resolved state.
-    [[nodiscard]] std::vector<ode::TransientResult> run_transient_batch(
+    [[nodiscard]] std::vector<ode::TransientResult> run_transients(
         ModelState& st, const std::vector<ode::InputFn>& inputs,
         const ode::TransientOptions& opt);
 
@@ -317,28 +273,22 @@ private:
     [[nodiscard]] std::vector<la::ZMatrix> coalesced_sweep(ModelState& st,
                                                            const std::vector<la::Complex>& grid);
 
-    /// Accessor bundle the parametric core serves through, so the eager
-    /// Family and lazy FamilyArtifact overloads share one implementation
-    /// (and can never drift): header data by reference, members through a
-    /// materializing callback the lazy path only invokes for the member(s)
-    /// a query actually routes to.
-    struct FamilyView;
-    [[nodiscard]] ParametricAnswer serve_parametric_impl(const FamilyView& view,
-                                                         const pmor::Point& coords,
-                                                         const std::vector<la::Complex>& grid,
-                                                         const ParametricOptions& opt);
+    /// A family in the hosted catalog: the artifact (possibly an eager
+    /// from_family wrap) plus the server-side ParametricOptions applied to
+    /// wire queries against it.
+    struct HostedFamily {
+        FamilyArtifact artifact;
+        ParametricOptions defaults;
+    };
 
-    /// Resolve the three request forms (in-process Family pointer, in-process
-    /// artifact pointer, wire family_id through the hosted catalog) to a
-    /// FamilyView and run `fn` against it. The wire form folds the host's
-    /// registered defaults into `eff` and strips the fallback when the
-    /// request disallowed it; the in-process forms use `eff` as passed.
-    /// Shared by the single-point and batch dispatch cases so routing can
-    /// never drift between them.
-    void with_family_view(const Family* family, const FamilyArtifact* artifact,
-                          const std::string& family_id, bool allow_fallback,
-                          ParametricOptions& eff,
-                          const std::function<void(const FamilyView&)>& fn);
+    /// One parametric point against a hosted family: the routing,
+    /// certificate and counter accounting shared by the single-query and
+    /// batch requests, so the two can never drift. `tol`, `blend` and
+    /// `allow_fallback` are the request's; the fallback hooks are the
+    /// host's defaults.
+    [[nodiscard]] ServeResponse serve_point(const HostedFamily& hf, const pmor::Point& coords,
+                                            const std::vector<la::Complex>& grid, double tol,
+                                            bool blend, bool allow_fallback);
 
     /// Serving state for a family member (already-built artifact, no
     /// registry resolution); keyed by family id + member index + basis hash
@@ -355,14 +305,6 @@ private:
     /// the shard mutex. Outstanding ModelState handles stay valid; a later
     /// query for an evicted key re-resolves and rebuilds.
     void bound_shard_locked(Shard& shard, const std::string& keep_key);
-
-    /// A family in the hosted catalog: the artifact (possibly an eager
-    /// from_family wrap) plus the server-side ParametricOptions applied to
-    /// wire queries against it.
-    struct HostedFamily {
-        FamilyArtifact artifact;
-        ParametricOptions defaults;
-    };
 
     /// The hosted family for `family_id`: catalog first, then the registry's
     /// family-artifact tier (cached in the catalog so the mmap happens

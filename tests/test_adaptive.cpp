@@ -17,6 +17,7 @@
 #include "rom/io.hpp"
 #include "rom/registry.hpp"
 #include "rom/serve_engine.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/thread_pool.hpp"
 
 namespace atmor {
@@ -215,9 +216,9 @@ TEST(Adaptive, ToleranceKeyedRegistryArtifactsCoexist) {
     auto registry2 = std::make_shared<rom::Registry>(ropt);
     rom::ServeEngine engine(registry2);
     const rom::ErrorCertificate cert_loose =
-        engine.certificate(key_loose, build_with(loose));
+        test::serve_ok(engine, test::certificate_request(key_loose)).certificate;
     const rom::ErrorCertificate cert_tight =
-        engine.certificate(key_tight, build_with(tight));
+        test::serve_ok(engine, test::certificate_request(key_tight)).certificate;
     EXPECT_EQ(registry2->stats().disk_hits, 2);
     EXPECT_EQ(registry2->stats().builds, 0);
     EXPECT_TRUE(cert_loose.certified());

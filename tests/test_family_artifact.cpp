@@ -21,6 +21,7 @@
 #include "rom/io.hpp"
 #include "rom/registry.hpp"
 #include "rom/serve_engine.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "volterra/transfer.hpp"
@@ -30,6 +31,8 @@ namespace {
 
 using la::Complex;
 using pmor::Point;
+using test::parametric_request;
+using test::serve_ok;
 
 std::string temp_dir(const std::string& name) {
     const auto dir = std::filesystem::temp_directory_path() / ("atmor_famart_" + name);
@@ -292,11 +295,15 @@ TEST(FamilyArtifact, MmapServingAnswersIdenticallyToEagerFamily) {
     const rom::FamilyArtifact lazy = rom::FamilyArtifact::open(path);
     rom::ServeEngine eager_engine(std::make_shared<rom::Registry>());
     rom::ServeEngine lazy_engine(std::make_shared<rom::Registry>());
+    eager_engine.host_family(eager);
+    lazy_engine.host_family(lazy);
     const std::vector<Complex> grid = probe_grid();
 
     for (const Point& q : eager.space.offset_grid(3)) {
-        const rom::ParametricAnswer a = eager_engine.serve_parametric(eager, q, grid);
-        const rom::ParametricAnswer b = lazy_engine.serve_parametric(lazy, q, grid);
+        const rom::ServeResponse a =
+            serve_ok(eager_engine, parametric_request(eager.family_id, q, grid));
+        const rom::ServeResponse b =
+            serve_ok(lazy_engine, parametric_request(lazy.family_id(), q, grid));
         EXPECT_EQ(a.member, b.member);
         EXPECT_EQ(a.fallback, b.fallback);
         EXPECT_EQ(a.certificate.estimated_error, b.certificate.estimated_error);
@@ -471,8 +478,9 @@ TEST(FamilyArtifact, BuilderCompressOptionProducesServableArtifact) {
     // The persisted artifact serves certified answers end to end.
     const rom::FamilyArtifact art = opt.registry->open_family(result.family.family_id);
     rom::ServeEngine engine(opt.registry);
-    const rom::ParametricAnswer ans =
-        engine.serve_parametric(art, result.family.space.center(), probe_grid());
+    engine.host_family(art);
+    const rom::ServeResponse ans = serve_ok(
+        engine, parametric_request(art.family_id(), result.family.space.center(), probe_grid()));
     EXPECT_FALSE(ans.fallback);
     EXPECT_LE(ans.certificate.estimated_error, ans.certificate.tol);
     std::filesystem::remove_all(dir);

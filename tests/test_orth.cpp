@@ -3,6 +3,7 @@
 #include "la/orth.hpp"
 #include "la/vector_ops.hpp"
 #include "test_helpers.hpp"
+#include "util/check.hpp"
 
 namespace atmor {
 namespace {
@@ -10,10 +11,18 @@ namespace {
 using la::Matrix;
 using la::Vec;
 
+/// Stage one vector and flush it on its own; returns how many columns it
+/// added (0 when deflated).
+int ingest(la::BasisBuilder& b, const Vec& v) {
+    b.stage(v);
+    return b.flush();
+}
+
 TEST(BasisBuilder, BuildsOrthonormalBasis) {
     util::Rng rng(800);
     la::BasisBuilder b(10);
-    for (int k = 0; k < 4; ++k) EXPECT_TRUE(b.add(test::random_vector(10, rng)));
+    for (int k = 0; k < 4; ++k) b.stage(test::random_vector(10, rng));
+    EXPECT_EQ(b.flush(), 4);
     EXPECT_EQ(b.size(), 4);
     const Matrix v = b.matrix();
     const Matrix vtv = la::matmul(la::transpose(v), v);
@@ -21,19 +30,21 @@ TEST(BasisBuilder, BuildsOrthonormalBasis) {
 }
 
 TEST(BasisBuilder, DeflatesDependentVector) {
+    // One flush per vector: each candidate is projected against the basis.
     la::BasisBuilder b(3);
-    EXPECT_TRUE(b.add(Vec{1.0, 0.0, 0.0}));
-    EXPECT_TRUE(b.add(Vec{1.0, 1.0, 0.0}));
-    EXPECT_FALSE(b.add(Vec{3.0, -2.0, 0.0}));  // in span of the first two
-    EXPECT_TRUE(b.add(Vec{0.0, 0.0, 5.0}));
+    EXPECT_EQ(ingest(b, Vec{1.0, 0.0, 0.0}), 1);
+    EXPECT_EQ(ingest(b, Vec{1.0, 1.0, 0.0}), 1);
+    EXPECT_EQ(ingest(b, Vec{3.0, -2.0, 0.0}), 0);  // in span of the first two
+    EXPECT_EQ(ingest(b, Vec{0.0, 0.0, 5.0}), 1);
     EXPECT_EQ(b.size(), 3);
 }
 
 TEST(BasisBuilder, RejectsZeroAndNonFinite) {
     la::BasisBuilder b(2);
-    EXPECT_FALSE(b.add(Vec{0.0, 0.0}));
-    EXPECT_FALSE(b.add(Vec{std::numeric_limits<double>::quiet_NaN(), 1.0}));
+    EXPECT_EQ(ingest(b, Vec{0.0, 0.0}), 0);
+    EXPECT_EQ(ingest(b, Vec{std::numeric_limits<double>::quiet_NaN(), 1.0}), 0);
     EXPECT_EQ(b.size(), 0);
+    EXPECT_EQ(b.flush(), 0);  // an empty flush is a no-op
 }
 
 TEST(BasisBuilder, SpanIsPreserved) {
@@ -43,8 +54,10 @@ TEST(BasisBuilder, SpanIsPreserved) {
     std::vector<Vec> inputs;
     for (int k = 0; k < 5; ++k) {
         inputs.push_back(test::random_vector(8, rng));
-        b.add(inputs.back());
+        b.stage(inputs.back());
+        if (k == 1) b.flush();  // a second panel projects against the first
     }
+    b.flush();
     const Matrix v = b.matrix();
     for (const auto& x : inputs) {
         // r = x - V V^T x should vanish.
@@ -53,17 +66,27 @@ TEST(BasisBuilder, SpanIsPreserved) {
     }
 }
 
-TEST(BasisBuilder, AddComplexSplitsRealImag) {
+TEST(BasisBuilder, StageComplexSplitsRealImag) {
     la::BasisBuilder b(4);
     la::ZVec v(4);
     v[0] = la::Complex(1.0, 0.0);
     v[1] = la::Complex(0.0, 2.0);
-    EXPECT_EQ(b.add_complex(v), 2);
+    b.stage_complex(v);
+    EXPECT_EQ(b.flush(), 2);
     // A purely real vector adds only one direction.
     la::ZVec w(4);
     w[2] = la::Complex(3.0, 0.0);
-    EXPECT_EQ(b.add_complex(w), 1);
+    b.stage_complex(w);
+    EXPECT_EQ(b.flush(), 1);
     EXPECT_EQ(b.size(), 3);
+}
+
+TEST(BasisBuilder, MatrixRequiresAFlush) {
+    la::BasisBuilder b(3);
+    b.stage(Vec{1.0, 0.0, 0.0});
+    EXPECT_THROW((void)b.matrix(), util::PreconditionError);
+    b.flush();
+    EXPECT_EQ(b.matrix().cols(), 1);
 }
 
 TEST(OrthonormalizeColumns, RankDeficientInput) {

@@ -16,6 +16,7 @@
 #include "rom/io.hpp"
 #include "rom/registry.hpp"
 #include "rom/serve_engine.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/check.hpp"
 
 namespace atmor {
@@ -23,6 +24,8 @@ namespace {
 
 using la::Complex;
 using pmor::Point;
+using test::parametric_request;
+using test::serve_ok;
 
 pmor::ParamSpace two_axis_space() {
     return pmor::ParamSpace({{"alpha", 20.0, 60.0, pmor::Scale::linear},
@@ -104,7 +107,7 @@ TEST(ParamSpace, NormalizeIsFiniteOnLogAxesWithTinyMin) {
     // contains() admits points down to min - slack; with a tiny log-axis min
     // the slack (relative to max) reaches below zero, and to_unit must not
     // feed a value <= 0 into std::log. NaN unit coordinates would silently
-    // poison nearest-cell selection in serve_parametric.
+    // poison nearest-cell selection in parametric serving.
     const pmor::ParamSpace space({{"leak", 1e-300, 1.0, pmor::Scale::log}});
     for (const double v : {0.0, -5e-13, 1e-300, 1.0}) {
         const Point p{v};
@@ -357,11 +360,12 @@ TEST(ServeParametric, CertifiedMemberPathServesWithCellCertificate) {
     const rom::Family fam = build_small_family();
     ASSERT_TRUE(fam.converged);
     auto engine = rom::ServeEngine(std::make_shared<rom::Registry>());
+    engine.host_family(fam);
     std::vector<Complex> grid;
     for (int g = 1; g <= 8; ++g) grid.emplace_back(0.0, 0.25 * g);
 
     const Point query{fam.cells[1].coords};  // exactly on a training cell
-    const rom::ParametricAnswer ans = engine.serve_parametric(fam, query, grid);
+    const rom::ServeResponse ans = serve_ok(engine, parametric_request(fam.family_id, query, grid));
     EXPECT_FALSE(ans.fallback);
     EXPECT_EQ(ans.member, fam.cells[1].best);
     EXPECT_EQ(ans.blended_with, -1);
@@ -397,12 +401,12 @@ TEST(ServeParametric, BlendingMixesTwoCertifiedMembers) {
     ASSERT_EQ(fam.members.size(), 2u);
 
     auto engine = rom::ServeEngine(std::make_shared<rom::Registry>());
+    engine.host_family(fam);
     const std::vector<Complex> grid{Complex(0.0, 0.5), Complex(0.0, 1.0)};
     const Point query{40.0};  // between the members
 
-    rom::ParametricOptions popt;
-    popt.blend = true;
-    const rom::ParametricAnswer ans = engine.serve_parametric(fam, query, grid, popt);
+    const rom::ServeResponse ans =
+        serve_ok(engine, parametric_request(fam.family_id, query, grid, 0.0, /*blend=*/true));
     ASSERT_FALSE(ans.fallback);
     ASSERT_GE(ans.blended_with, 0);
     EXPECT_NE(ans.member, ans.blended_with);
@@ -431,32 +435,48 @@ TEST(ServeParametric, BlendingMixesTwoCertifiedMembers) {
     EXPECT_EQ(engine.stats().parametric_blended, 1);
 }
 
-TEST(ServeParametric, UncoveredQueryRoutesToFallbackBuildOnce) {
-    // An impossible tolerance: no member can certify anything, so every
-    // query is a rejection.
+/// A family no member of which certifies anything (an impossible
+/// tolerance), so every query is a rejection.
+rom::Family uncoverable_family() {
     pmor::FamilyBuildOptions opt;
     opt.adaptive = fast_adaptive(1e-13);
     opt.tol = 1e-13;
     opt.training_grid_per_dim = 3;
     opt.max_members = 1;
-    const rom::Family fam = core::build_family(nltl_design(), opt).family;
+    return core::build_family(nltl_design(), opt).family;
+}
+
+/// Host defaults whose fallback builds a dedicated adaptive model.
+rom::ParametricOptions adaptive_fallback(const pmor::FamilyDesign& design) {
+    rom::ParametricOptions popt;
+    popt.fallback_build = [design](const Point& p) {
+        mor::AdaptiveResult r = mor::reduce_adaptive(design.build_system(p), fast_adaptive());
+        return std::move(r.model);
+    };
+    return popt;
+}
+
+TEST(ServeParametric, UncoveredQueryRoutesToFallbackBuildOnce) {
+    const rom::Family fam = uncoverable_family();
     ASSERT_FALSE(fam.converged);
 
     auto registry = std::make_shared<rom::Registry>();
     rom::ServeEngine engine(registry);
     const std::vector<Complex> grid{Complex(0.0, 1.0)};
     const Point query{33.0};
+    const auto query_at_tol = [&](double tol) {
+        return serve_ok(engine, parametric_request(fam.family_id, query, grid, tol));
+    };
 
-    // Without a fallback builder the rejection is a typed error.
-    EXPECT_THROW((void)engine.serve_parametric(fam, query, grid), util::PreconditionError);
+    // Hosted without a fallback builder, the rejection is a typed error.
+    engine.host_family(fam);
+    EXPECT_EQ(engine.serve(parametric_request(fam.family_id, query, grid)).error.code,
+              util::ErrorCode::precondition);
 
     const pmor::FamilyDesign design = nltl_design();
-    rom::ParametricOptions popt;
-    popt.fallback_build = [&](const Point& p) {
-        mor::AdaptiveResult r = mor::reduce_adaptive(design.build_system(p), fast_adaptive());
-        return std::move(r.model);
-    };
-    const rom::ParametricAnswer ans = engine.serve_parametric(fam, query, grid, popt);
+    const rom::ParametricOptions popt = adaptive_fallback(design);
+    engine.host_family(fam, popt);
+    const rom::ServeResponse ans = query_at_tol(0.0);
     EXPECT_TRUE(ans.fallback);
     EXPECT_EQ(ans.member, -1);
     // The fallback certificate is the freshly built model's own a-posteriori
@@ -466,7 +486,7 @@ TEST(ServeParametric, UncoveredQueryRoutesToFallbackBuildOnce) {
     EXPECT_EQ(registry->stats().builds, 1);
 
     // The same uncovered point served again resolves from the registry.
-    (void)engine.serve_parametric(fam, query, grid, popt);
+    (void)query_at_tol(0.0);
     EXPECT_EQ(registry->stats().builds, 1);
     rom::ServeStats stats = engine.stats();
     EXPECT_EQ(stats.parametric_queries, 2);
@@ -478,46 +498,87 @@ TEST(ServeParametric, UncoveredQueryRoutesToFallbackBuildOnce) {
     // fallback key: the looser cached model must not be silently reused
     // (both tolerances here sit below anything a member certifies, so both
     // queries take the rejection path).
-    rom::ParametricOptions tighter = popt;
-    tighter.tol = 1e-5;
-    (void)engine.serve_parametric(fam, query, grid, tighter);
+    (void)query_at_tol(1e-5);
     EXPECT_EQ(registry->stats().builds, 2);
 
-    // With an explicit fallback_key the caller opts back into sharing
+    // With an explicit fallback_key the host opts back into sharing
     // (e.g. pmor::member_key when the builder's accuracy is fixed).
     rom::ParametricOptions keyed = popt;
-    keyed.tol = 1e-5;
     keyed.fallback_key = [&](const Point& p) {
         return pmor::member_key(design, fast_adaptive(), p);
     };
-    (void)engine.serve_parametric(fam, query, grid, keyed);
+    engine.host_family(fam, keyed);
+    (void)query_at_tol(1e-5);
     const long builds_after_keyed = registry->stats().builds;
-    keyed.tol = 1e-6;  // different tol, same keyed builder accuracy: shared
-    (void)engine.serve_parametric(fam, query, grid, keyed);
+    (void)query_at_tol(1e-6);  // different tol, same keyed builder accuracy: shared
     EXPECT_EQ(registry->stats().builds, builds_after_keyed);
+}
+
+TEST(ServeParametric, AllowFallbackGatesTheHostFallback) {
+    const rom::Family fam = uncoverable_family();
+    auto registry = std::make_shared<rom::Registry>();
+    rom::ServeEngine engine(registry);
+    engine.host_family(fam, adaptive_fallback(nltl_design()));
+    const std::vector<Complex> grid{Complex(0.0, 1.0)};
+    const Point query{47.0};
+
+    // allow_fallback = false disables the host's fallback: a typed
+    // rejection, and nothing is built.
+    const rom::ServeResponse denied = engine.serve(
+        parametric_request(fam.family_id, query, grid, 0.0, false, /*allow_fallback=*/false));
+    EXPECT_EQ(denied.error.code, util::ErrorCode::precondition);
+    EXPECT_NE(denied.error.message.find("disallows the fallback"), std::string::npos)
+        << denied.error.message;
+    EXPECT_EQ(registry->stats().builds, 0);
+    EXPECT_EQ(engine.stats().parametric_fallbacks, 0);
+
+    // allow_fallback = true (the default) takes the host's fallback build.
+    const rom::ServeResponse allowed =
+        serve_ok(engine, parametric_request(fam.family_id, query, grid));
+    EXPECT_TRUE(allowed.fallback);
+    EXPECT_EQ(allowed.member, -1);
+    EXPECT_EQ(allowed.response.size(), grid.size());
+    EXPECT_EQ(registry->stats().builds, 1);
 }
 
 TEST(ServeParametric, EmptyInputsAreTypedErrors) {
     const rom::Family fam = build_small_family();
     auto engine = rom::ServeEngine(std::make_shared<rom::Registry>());
+    engine.host_family(fam);
+    const auto error = [&engine](const std::string& id, Point coords,
+                                 std::vector<Complex> grid) {
+        return engine.serve(parametric_request(id, std::move(coords), std::move(grid))).error;
+    };
+    const auto code = [&error](const std::string& id, Point coords, std::vector<Complex> grid) {
+        return error(id, std::move(coords), std::move(grid)).code;
+    };
+    const util::ErrorCode precondition = util::ErrorCode::precondition;
     // Empty frequency grid.
-    EXPECT_THROW((void)engine.serve_parametric(fam, {40.0}, {}), util::PreconditionError);
+    EXPECT_EQ(code(fam.family_id, {40.0}, {}), precondition);
     // Point outside the box / wrong arity.
     const std::vector<Complex> grid{Complex(0.0, 1.0)};
-    EXPECT_THROW((void)engine.serve_parametric(fam, {19.0}, grid), util::PreconditionError);
-    EXPECT_THROW((void)engine.serve_parametric(fam, {40.0, 1.0}, grid),
-                 util::PreconditionError);
+    EXPECT_EQ(code(fam.family_id, {19.0}, grid), precondition);
+    EXPECT_EQ(code(fam.family_id, {40.0, 1.0}, grid), precondition);
     // Empty family.
     rom::Family empty;
     empty.family_id = "empty";
-    EXPECT_THROW((void)engine.serve_parametric(empty, {}, grid), util::PreconditionError);
+    engine.host_family(empty);
+    const rom::ServeError empty_error = error("empty", {}, grid);
+    EXPECT_EQ(empty_error.code, precondition);
+    EXPECT_NE(empty_error.message.find("family is empty"), std::string::npos)
+        << empty_error.message;
     // A hand-built family whose coverage table references a missing member
     // is a typed error too, never an out-of-bounds read (load_family guards
     // this invariant on disk; the serve path guards it for aggregates).
     rom::Family bogus = fam;
+    bogus.family_id = "bogus";
     bogus.cells.front().best = static_cast<int>(bogus.members.size()) + 3;
-    EXPECT_THROW((void)engine.serve_parametric(bogus, bogus.cells.front().coords, grid),
-                 util::PreconditionError);
+    engine.host_family(bogus);
+    const rom::ServeError bogus_error = error("bogus", bogus.cells.front().coords, grid);
+    EXPECT_EQ(bogus_error.code, precondition);
+    EXPECT_NE(bogus_error.message.find("references a missing member"), std::string::npos)
+        << bogus_error.message;
+    EXPECT_EQ(engine.stats().parametric_queries, 0);
 }
 
 TEST(ServeParametric, ServingSurvivesTheArtifactRoundTrip) {
@@ -533,10 +594,14 @@ TEST(ServeParametric, ServingSurvivesTheArtifactRoundTrip) {
     // original family's evaluators and never touch the deserialized models.
     rom::ServeEngine original_engine(std::make_shared<rom::Registry>());
     rom::ServeEngine loaded_engine(std::make_shared<rom::Registry>());
+    original_engine.host_family(fam);
+    loaded_engine.host_family(loaded);
     const std::vector<Complex> grid{Complex(0.0, 0.5), Complex(0.0, 1.5)};
     const Point query = fam.space.center();
-    const rom::ParametricAnswer a = original_engine.serve_parametric(fam, query, grid);
-    const rom::ParametricAnswer b = loaded_engine.serve_parametric(loaded, query, grid);
+    const rom::ServeResponse a =
+        serve_ok(original_engine, parametric_request(fam.family_id, query, grid));
+    const rom::ServeResponse b =
+        serve_ok(loaded_engine, parametric_request(loaded.family_id, query, grid));
     EXPECT_EQ(a.member, b.member);
     EXPECT_EQ(a.fallback, b.fallback);
     EXPECT_EQ(a.certificate.estimated_error, b.certificate.estimated_error);

@@ -30,6 +30,7 @@
 #include "rom/registry.hpp"
 #include "rom/serve_engine.hpp"
 #include "test_helpers.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 #include "volterra/transfer.hpp"
@@ -42,6 +43,7 @@ using la::Matrix;
 using la::Vec;
 using la::ZMatrix;
 using pmor::Point;
+using test::serve_ok;
 using volterra::Qldae;
 using volterra::TransferEvaluator;
 
@@ -541,7 +543,9 @@ TEST(Scenarios, ParametricBatchMatchesPerPointLoop) {
     const std::vector<Point> queries = fam.space.monte_carlo(9, 123);
 
     rom::ServeEngine engine(std::make_shared<rom::Registry>());
-    const rom::ServeResponse batch = engine.serve_parametric_batch(fam, queries, grid);
+    engine.host_family(fam);
+    const rom::ServeResponse batch =
+        serve_ok(engine, test::parametric_batch_request(fam.family_id, queries, grid));
     ASSERT_TRUE(batch.ok());
     ASSERT_EQ(batch.response.size(), queries.size() * grid.size());
     ASSERT_EQ(batch.batch_member.size(), queries.size());
@@ -549,13 +553,14 @@ TEST(Scenarios, ParametricBatchMatchesPerPointLoop) {
     ASSERT_EQ(batch.batch_fallback.size(), queries.size());
     EXPECT_EQ(engine.stats().parametric_queries, static_cast<long>(queries.size()));
 
-    // Per-point routing and answers are identical to looping the singleton
-    // entrypoint, and the batch certificate is the worst point's.
+    // Per-point routing and answers are identical to looping single-point
+    // queries, and the batch certificate is the worst point's.
     rom::ServeEngine loop_engine(std::make_shared<rom::Registry>());
+    loop_engine.host_family(fam);
     double worst = -1.0;
     for (std::size_t p = 0; p < queries.size(); ++p) {
-        const rom::ParametricAnswer one =
-            loop_engine.serve_parametric(fam, queries[p], grid);
+        const rom::ServeResponse one =
+            serve_ok(loop_engine, test::parametric_request(fam.family_id, queries[p], grid));
         EXPECT_EQ(batch.batch_member[static_cast<std::size_t>(p)], one.member);
         EXPECT_EQ(batch.batch_error[p], one.certificate.estimated_error);
         EXPECT_EQ(batch.batch_fallback[p] != 0, one.fallback);

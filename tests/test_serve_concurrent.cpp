@@ -14,15 +14,18 @@
 #include <thread>
 #include <vector>
 
-#include "circuits/waveforms.hpp"
 #include "core/atmor.hpp"
 #include "ode/transient.hpp"
 #include "rom/serve_engine.hpp"
 #include "test_qldae_helpers.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace atmor {
 namespace {
+
+using test::serve_ok;
+using test::sweep_request;
 
 constexpr int kFullOrder = 16;
 constexpr int kThreads = 8;
@@ -119,14 +122,19 @@ TEST(ServeConcurrent, MixedStressIsBitIdenticalToSerialReplayWithExactStats) {
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
             gate.wait();
+            // The four "hot" threads race into one single-flight build.
+            (void)engine.model(key_of(t), f.builder(t < 4 ? 0 : t));
             for (int rep = 0; rep < kReps; ++rep) {
                 answers[static_cast<std::size_t>(t)][static_cast<std::size_t>(rep)] =
-                    engine.frequency_response(key_of(t), f.builder(t < 4 ? 0 : t),
-                                              grids[static_cast<std::size_t>((t + rep) % 4)]);
+                    serve_ok(engine,
+                             sweep_request(key_of(t),
+                                           grids[static_cast<std::size_t>((t + rep) % 4)]))
+                        .response;
                 if (t % 2 == 1)
-                    (void)engine.transient_batch(
-                        key_of(t), f.builder(t < 4 ? 0 : t),
-                        {circuits::sine_input(0.03 + 0.01 * t, 1.0)}, topt);
+                    (void)serve_ok(engine,
+                                   test::transient_request(
+                                       key_of(t), {rom::WaveformSpec::sine(0.03 + 0.01 * t, 1.0)},
+                                       topt));
             }
         });
     gate.release(kThreads);
@@ -140,8 +148,9 @@ TEST(ServeConcurrent, MixedStressIsBitIdenticalToSerialReplayWithExactStats) {
         for (int rep = 0; rep < kReps; ++rep)
             EXPECT_TRUE(identical(
                 answers[static_cast<std::size_t>(t)][static_cast<std::size_t>(rep)],
-                serial.frequency_response(key_of(t), f.builder(t < 4 ? 0 : t),
-                                          grids[static_cast<std::size_t>((t + rep) % 4)])))
+                serve_ok(serial,
+                         sweep_request(key_of(t), grids[static_cast<std::size_t>((t + rep) % 4)]))
+                    .response))
                 << "thread " << t << " rep " << rep;
 
     // Exact accounting: coalescing must neither lose nor double-count a
@@ -183,8 +192,8 @@ TEST(ServeConcurrent, CoalescedBatchesAreEquivalentAndAccounted) {
             // Threads 0-5 request grid 0, threads 6-7 grid 1 (7 of its 8
             // points shared with grid 0): the union has 9 unique shifts
             // for 64 requested points when one batch captures the storm.
-            answers[static_cast<std::size_t>(t)] = engine.frequency_response(
-                "hot", f.builder(), grids[t < 6 ? 0 : 1]);
+            answers[static_cast<std::size_t>(t)] =
+                serve_ok(engine, sweep_request("hot", grids[t < 6 ? 0 : 1])).response;
         });
     gate.release(kThreads);
     for (std::thread& th : threads) th.join();
@@ -193,8 +202,8 @@ TEST(ServeConcurrent, CoalescedBatchesAreEquivalentAndAccounted) {
     rom::ServeEngine serial{f.registry};
     for (int t = 0; t < kThreads; ++t)
         EXPECT_TRUE(identical(answers[static_cast<std::size_t>(t)],
-                              serial.frequency_response("hot", f.builder(),
-                                                        grids[t < 6 ? 0 : 1])))
+                              serve_ok(serial, sweep_request("hot", grids[t < 6 ? 0 : 1]))
+                                  .response))
             << "thread " << t;
 
     const rom::ServeStats stats = engine.stats();
@@ -216,7 +225,7 @@ TEST(ServeConcurrent, SlowSingleFlightBuildDoesNotBlockWarmServes) {
     rom::ServeEngine engine{f.registry};
     std::vector<la::Complex> grid;
     for (int j = 0; j < 6; ++j) grid.emplace_back(0.0, 0.3 * (j + 1));
-    (void)engine.frequency_response("warm", f.builder(), grid);  // make resident
+    (void)engine.model("warm", f.builder());  // make resident
 
     // A builder that parks mid-build until RELEASED: the latch (not a
     // timing heuristic) proves any lock it held would stall the warm serves
@@ -235,7 +244,11 @@ TEST(ServeConcurrent, SlowSingleFlightBuildDoesNotBlockWarmServes) {
         r.provenance.source = "test:slow";
         return r;
     };
-    std::thread cold([&] { (void)engine.frequency_response("cold", slow, grid); });
+    const auto serve_cold = [&] {
+        (void)engine.model("cold", slow);
+        (void)serve_ok(engine, sweep_request("cold", grid));
+    };
+    std::thread cold(serve_cold);
     entered.get_future().wait();  // the build is now in flight and parked
 
     // Warm serves of the RESIDENT model must complete while the build is
@@ -243,7 +256,7 @@ TEST(ServeConcurrent, SlowSingleFlightBuildDoesNotBlockWarmServes) {
     for (int q = 0; q < 3; ++q) {
         std::future<std::vector<la::ZMatrix>> warm_answer =
             std::async(std::launch::async,
-                       [&] { return engine.frequency_response("warm", f.builder(), grid); });
+                       [&] { return serve_ok(engine, sweep_request("warm", grid)).response; });
         ASSERT_EQ(warm_answer.wait_for(std::chrono::seconds(30)),
                   std::future_status::ready)
             << "warm serve " << q << " stalled behind the in-flight build";
@@ -251,11 +264,11 @@ TEST(ServeConcurrent, SlowSingleFlightBuildDoesNotBlockWarmServes) {
     }
     // A second tenant joining the in-flight build must also not disturb the
     // warm path: it blocks on the build's future, holding no registry lock.
-    std::thread joiner([&] { (void)engine.frequency_response("cold", slow, grid); });
+    std::thread joiner(serve_cold);
     {
         std::future<std::vector<la::ZMatrix>> warm_answer =
             std::async(std::launch::async,
-                       [&] { return engine.frequency_response("warm", f.builder(), grid); });
+                       [&] { return serve_ok(engine, sweep_request("warm", grid)).response; });
         ASSERT_EQ(warm_answer.wait_for(std::chrono::seconds(30)),
                   std::future_status::ready)
             << "warm serve stalled behind a coalesced waiter";
